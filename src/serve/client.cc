@@ -27,138 +27,81 @@ namespace pt::serve
 namespace
 {
 
-/** The per-session measure a JobDone carries — same field set (and
- *  journal blob encoding) as the local fleet's FleetMeasure, so the
- *  CSV rows render identically. */
-struct Measure
-{
-    u64 events = 0;
-    u64 traceBytes = 0;
-    u64 ramRefs = 0;
-    u64 flashRefs = 0;
-    u64 instructions = 0;
-    u64 cycles = 0;
-};
-
-std::vector<u8>
-measureBlob(const Measure &m)
-{
-    BinWriter w;
-    w.put64(m.events);
-    w.put64(m.traceBytes);
-    w.put64(m.ramRefs);
-    w.put64(m.flashRefs);
-    w.put64(m.instructions);
-    w.put64(m.cycles);
-    return w.takeBytes();
-}
-
-bool
-measureFromBlob(const std::vector<u8> &blob, Measure &m)
-{
-    BinReader r(blob);
-    m.events = r.get64();
-    m.traceBytes = r.get64();
-    m.ramRefs = r.get64();
-    m.flashRefs = r.get64();
-    m.instructions = r.get64();
-    m.cycles = r.get64();
-    return r.ok() && r.atEnd();
-}
-
-/** RemoteFleet journal extra: the endpoint plus the spec list, so a
- *  resume can rebuild the run without the original command line. */
-std::vector<u8>
-remoteExtra(const std::string &endpoint,
-            const std::vector<workload::SessionSpec> &specs)
-{
-    BinWriter w;
-    w.putString(endpoint);
-    w.put32(static_cast<u32>(specs.size()));
-    for (const workload::SessionSpec &s : specs)
-        putSessionSpec(w, s);
-    return w.takeBytes();
-}
-
-bool
-parseRemoteExtra(const std::vector<u8> &extra, std::string &endpoint,
-                 std::vector<workload::SessionSpec> &specs)
-{
-    BinReader r(extra);
-    endpoint = r.getString();
-    const u32 n = r.get32();
-    if (!r.ok())
-        return false;
-    specs.clear();
-    specs.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
-        workload::SessionSpec s;
-        if (!getSessionSpec(r, s))
-            return false;
-        specs.push_back(std::move(s));
-    }
-    return r.ok() && r.atEnd();
-}
-
 #ifndef _WIN32
 
 int
-connectEndpoint(const std::string &endpoint, std::string *errOut)
+connectEndpoint(const std::string &endpoint, std::string &err)
 {
-    int fd = -1;
+    sockaddr_storage addr{};
+    socklen_t len = 0;
     if (endpoint.rfind("tcp:", 0) == 0) {
         const int port = std::atoi(endpoint.c_str() + 4);
         if (port <= 0 || port > 65535) {
-            if (errOut)
-                *errOut = "bad TCP endpoint '" + endpoint + "'";
+            err = "bad TCP endpoint '" + endpoint + "'";
             return -1;
         }
-        fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0) {
-            if (errOut)
-                *errOut = std::strerror(errno);
+        auto *in = reinterpret_cast<sockaddr_in *>(&addr);
+        in->sin_family = AF_INET;
+        in->sin_port = htons(static_cast<u16>(port));
+        in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        len = sizeof(sockaddr_in);
+    } else {
+        auto *un = reinterpret_cast<sockaddr_un *>(&addr);
+        if (endpoint.size() >= sizeof(un->sun_path)) {
+            err = "socket path too long: " + endpoint;
             return -1;
         }
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<u16>(port));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            if (errOut) {
-                *errOut = "connect " + endpoint + ": " +
-                          std::strerror(errno);
-            }
-            ::close(fd);
-            return -1;
-        }
-        return fd;
+        un->sun_family = AF_UNIX;
+        std::memcpy(un->sun_path, endpoint.c_str(), endpoint.size() + 1);
+        len = sizeof(sockaddr_un);
     }
-
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (endpoint.size() >= sizeof(addr.sun_path)) {
-        if (errOut)
-            *errOut = "socket path too long: " + endpoint;
-        return -1;
-    }
-    std::memcpy(addr.sun_path, endpoint.c_str(), endpoint.size() + 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
     if (fd < 0) {
-        if (errOut)
-            *errOut = std::strerror(errno);
+        err = std::strerror(errno);
         return -1;
     }
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        if (errOut) {
-            *errOut =
-                "connect " + endpoint + ": " + std::strerror(errno);
-        }
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), len) != 0) {
+        err = "connect " + endpoint + ": " + std::strerror(errno);
         ::close(fd);
         return -1;
     }
     return fd;
+}
+
+/** Connects to @p endpoint and runs the version handshake: the
+ *  connected fd with @p hello filled, or -1 with @p err set. */
+int
+openSession(const std::string &endpoint, HelloOkMsg &hello,
+            std::string &err)
+{
+    const int fd = connectEndpoint(endpoint, err);
+    if (fd < 0) {
+        err = "cannot reach server: " + err;
+        return -1;
+    }
+    MsgType type{};
+    std::vector<u8> payload;
+    if (!sendFrame(fd, MsgType::Hello, encodeHello())) {
+        err = "cannot greet server: " + std::string(std::strerror(errno));
+    } else if (auto r = recvFrame(fd, type, payload); !r) {
+        err = "handshake failed: " + r.message();
+    } else if (ErrorMsg em;
+               type == MsgType::Error && ErrorMsg::decode(payload, em)) {
+        err = "server refused handshake: " + em.err.field + ": " +
+              em.err.reason;
+    } else if (type != MsgType::HelloOk ||
+               !HelloOkMsg::decode(payload, hello)) {
+        err = "handshake failed: unexpected " +
+              std::string(msgTypeName(type)) + " frame";
+    } else if (hello.version != kProtocolVersion) {
+        err = "server speaks protocol version " +
+              std::to_string(hello.version) + ", not " +
+              std::to_string(kProtocolVersion);
+    } else {
+        return fd;
+    }
+    ::close(fd);
+    return -1;
 }
 
 /** One in-flight (or settled) fleet item on the client side. */
@@ -177,7 +120,6 @@ struct ItemCtx
     std::FILE *tmp = nullptr;
     std::string tmpPath;
     u64 expect = 0; ///< next expected stream offset
-    Measure m;
     std::string error;
 };
 
@@ -187,20 +129,12 @@ cancelled(const super::JobOptions &jo)
     return jo.globalCancel != nullptr && jo.globalCancel->cancelled();
 }
 
-void
-footerBestEffort(super::JournalWriter *journal,
-                 const super::JournalFooter &f)
-{
-    if (journal != nullptr && journal->ok())
-        journal->appendFooter(f);
-}
-
 /**
  * The shared engine behind runRemoteFleet and resumeRemoteFleetJob.
  * Submits every non-skipped spec (a bounded window in flight),
  * demultiplexes TraceChunk streams into per-item .tmp files, verifies
  * each finished trace's FNV-64 before renaming it into place, then
- * writes the local-fleet-format CSV. A drain, a connection loss, or
+ * finalizes the local fleet's CSV. A drain, a connection loss, or
  * a cancel leaves finished traces plus a resumable journal — never a
  * partial artifact.
  */
@@ -220,12 +154,10 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
     // send failure, not a process-killing SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::string cerr;
-    const int fd = connectEndpoint(endpoint, &cerr);
-    if (fd < 0) {
-        res.error = "cannot reach server: " + cerr;
+    HelloOkMsg hello;
+    const int fd = openSession(endpoint, hello, res.error);
+    if (fd < 0)
         return res;
-    }
 
     std::vector<ItemCtx> items(n);
     res.super.outcomes.resize(n);
@@ -252,9 +184,12 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
         dropTmp(it);
         it.phase = ItemCtx::Phase::Failed;
         it.error = why;
+        res.super.quarantined[i] = true;
+        ++res.super.itemsQuarantined;
+        res.super.outcomes[i].error = why;
         if (res.super.firstError.empty())
             res.super.firstError = why;
-        if (journal != nullptr && journal->ok()) {
+        if (journal != nullptr) {
             super::ItemRecord rec;
             rec.item = i;
             rec.state = super::ItemState::Quarantined;
@@ -273,44 +208,8 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
         ::close(fd);
     };
 
-    // Handshake: the version must match before any job travels.
-    if (!sendFrame(fd, MsgType::Hello, encodeHello())) {
-        closeAll();
-        res.error = "cannot greet server: " +
-                    std::string(std::strerror(errno));
-        return res;
-    }
     MsgType type{};
     std::vector<u8> payload;
-    if (auto r = recvFrame(fd, type, payload); !r) {
-        closeAll();
-        res.error = "handshake failed: " + r.message();
-        return res;
-    }
-    HelloOkMsg hello;
-    if (type != MsgType::HelloOk ||
-        !HelloOkMsg::decode(payload, hello)) {
-        if (type == MsgType::Error) {
-            ErrorMsg em;
-            if (ErrorMsg::decode(payload, em)) {
-                closeAll();
-                res.error = "server refused handshake: " +
-                            (em.err.field + ": " + em.err.reason);
-                return res;
-            }
-        }
-        closeAll();
-        res.error = "handshake failed: unexpected " +
-                    std::string(msgTypeName(type)) + " frame";
-        return res;
-    }
-    if (hello.version != kProtocolVersion) {
-        closeAll();
-        res.error = "server speaks protocol version " +
-                    std::to_string(hello.version) + ", not " +
-                    std::to_string(kProtocolVersion);
-        return res;
-    }
     // Keep every worker fed without flooding the admission queue:
     // twice the pool width in flight is enough to hide the stream
     // round-trip, and Busy backpressure absorbs any overshoot.
@@ -504,16 +403,13 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
                 break;
             }
             it.phase = ItemCtx::Phase::Done;
-            it.m = {done.events,       done.traceBytes,
-                    done.ramRefs,      done.flashRefs,
-                    done.instructions, done.cycles};
             ++res.super.itemsDone;
             super::ItemOutcome &oc = res.super.outcomes[i];
             oc.ok = true;
             oc.artifact = finalPath;
             oc.artifactFnv = done.traceFnv;
-            oc.blob = measureBlob(it.m);
-            if (journal != nullptr && journal->ok()) {
+            oc.blob = done.blob();
+            if (journal != nullptr) {
                 super::ItemRecord rec;
                 rec.item = i;
                 rec.state = super::ItemState::Done;
@@ -568,9 +464,10 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
     }
     if (wasCancelled || drainSeen || connLost) {
         closeAll();
-        footerBestEffort(journal,
-                         {super::JobStatus::Interrupted, 0,
-                          connLost ? connError : "interrupted"});
+        if (journal != nullptr) {
+            journal->appendFooter({super::JobStatus::Interrupted, 0,
+                                   connLost ? connError : "interrupted"});
+        }
         res.interrupted = !connLost;
         res.super.interrupted = res.interrupted;
         if (connLost)
@@ -579,58 +476,12 @@ remoteFleetCore(const std::vector<workload::SessionSpec> &specs,
     }
     ::close(fd);
 
-    // Settled: render the fleet CSV — the exact local format, so
-    // `trace diff`/cmp prove remote == local byte-for-byte.
-    std::string csv =
-        "session,status,trace,events,trace_bytes,ram_refs,flash_refs,"
-        "instructions,cycles\n";
-    for (std::size_t i = 0; i < n; ++i) {
-        csv += specs[i].name;
-        Measure m;
-        bool haveMeasure = false;
-        if (items[i].phase == ItemCtx::Phase::Done) {
-            m = items[i].m;
-            haveMeasure = true;
-        } else if (items[i].phase == ItemCtx::Phase::Skipped &&
-                   i < prior.size()) {
-            haveMeasure = measureFromBlob(prior[i].blob, m);
-        }
-        if (!haveMeasure) {
-            res.super.quarantined[i] = true;
-            ++res.super.itemsQuarantined;
-            if (res.super.outcomes[i].error.empty())
-                res.super.outcomes[i].error = items[i].error;
-            csv += ",quarantined,,0,0,0,0,0,0\n";
-            continue;
-        }
-        csv += ",ok,";
-        csv += super::fleetTracePath(outBase, i);
-        csv += ',' + std::to_string(m.events);
-        csv += ',' + std::to_string(m.traceBytes);
-        csv += ',' + std::to_string(m.ramRefs);
-        csv += ',' + std::to_string(m.flashRefs);
-        csv += ',' + std::to_string(m.instructions);
-        csv += ',' + std::to_string(m.cycles);
-        csv += '\n';
-    }
-
-    BinWriter w;
-    w.putBytes(csv.data(), csv.size());
-    std::string err;
-    if (!w.writeFile(spec.outPath, &err)) {
-        res.error = "write " + spec.outPath + ": " + err;
-        return res;
-    }
-    res.outFnv = fnv64(csv.data(), csv.size());
-    res.degraded = res.super.itemsQuarantined > 0;
+    // Settled: every item is Done, skipped or quarantined, so the
+    // local fleet's CSV renders byte-for-byte.
     res.super.ok = true;
-    footerBestEffort(
-        journal,
-        {res.degraded ? super::JobStatus::Degraded
-                      : super::JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-    res.ok = true;
-    return res;
+    return super::finishCsv(res, journal,
+                            super::fleetCsv(specs, outBase, res.super,
+                                            prior));
 }
 
 #endif // !_WIN32
@@ -650,26 +501,20 @@ runRemoteFleet(const std::vector<workload::SessionSpec> &specs,
     super::JobSpec spec;
     spec.kind = super::JobKind::RemoteFleet;
     spec.sessionPath = outBase;
-    spec.outPath = outBase + ".csv";
+    spec.outPath = res.outPath;
     spec.blockCapacity = jo.blockCapacity;
     spec.totalItems = specs.size();
     spec.maxAttempts = 1;
     spec.backoffSeed = jo.backoffSeed;
     spec.jobs = co.maxInflight;
-    spec.extra = remoteExtra(co.endpoint, specs);
+    spec.extra = super::remoteFleetExtra(co.endpoint, specs);
     spec.bindFingerprint =
         fnv64(spec.extra.data(), spec.extra.size());
 
     super::JournalWriter journal;
-    super::JournalWriter *jptr = nullptr;
-    if (!jo.journalPath.empty()) {
-        std::string err;
-        if (!journal.open(jo.journalPath, spec, &err)) {
-            res.error = "cannot open journal: " + err;
-            return res;
-        }
-        jptr = &journal;
-    }
+    super::JournalWriter *jptr;
+    if (!super::openJobJournal(journal, jptr, jo.journalPath, spec, res))
+        return res;
     return remoteFleetCore(specs, outBase, co.endpoint, co.maxInflight,
                            spec, jptr, {}, {}, jo);
 }
@@ -681,72 +526,29 @@ resumeRemoteFleetJob(const std::string &journalPath,
 {
     super::JobResult res;
     super::JournalData data;
-    if (auto r = super::loadJournal(journalPath, data); !r) {
-        res.error = "cannot load journal " + journalPath + ": " +
-                    r.message();
+    if (!super::loadResumable(journalPath, data, res))
         return res;
-    }
-    res.outPath = data.spec.outPath;
     if (data.spec.kind != super::JobKind::RemoteFleet) {
         res.error = "journal records a " +
                     std::string(super::jobKindName(data.spec.kind)) +
                     " job, not a remote fleet";
         return res;
     }
-    if (data.hasFooter &&
-        data.footer.status != super::JobStatus::Interrupted) {
-        res.ok = true;
-        res.nothingToDo = true;
-        res.outFnv = data.footer.outFnv;
-        res.degraded =
-            data.footer.status == super::JobStatus::Degraded;
-        return res;
-    }
 
     std::string endpoint;
     std::vector<workload::SessionSpec> specs;
-    if (!parseRemoteExtra(data.spec.extra, endpoint, specs) ||
-        specs.size() != data.spec.totalItems) {
-        res.error = "journalled remote-fleet specs are corrupt";
+    if (!super::remoteFleetSpecs(data.spec, endpoint, specs, res))
         return res;
-    }
-    if (fnv64(data.spec.extra.data(), data.spec.extra.size()) !=
-        data.spec.bindFingerprint) {
-        res.error = "journalled remote-fleet specs fail their "
-                    "binding fingerprint";
-        return res;
-    }
     if (!endpointOverride.empty())
         endpoint = endpointOverride;
 
-    const std::string &outBase = data.spec.sessionPath;
-    std::vector<super::ItemRecord> latest = data.latestPerItem();
-    std::vector<bool> skip(latest.size(), false);
-    for (std::size_t i = 0; i < latest.size(); ++i) {
-        Measure m;
-        if (latest[i].state != super::ItemState::Done ||
-            !measureFromBlob(latest[i].blob, m)) {
-            continue;
-        }
-        bool ok = false;
-        const u64 f = super::fnvFile(latest[i].artifact, &ok);
-        skip[i] = ok && f == latest[i].artifactFnv;
-    }
-    for (std::size_t i = 0; i < data.spec.totalItems; ++i) {
-        std::remove(
-            (super::fleetTracePath(outBase, i) + ".tmp").c_str());
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
-
-    super::JournalWriter journal;
-    super::JournalWriter *jptr = nullptr;
-    std::string err;
-    if (journal.openAppend(journalPath, data.validBytes, &err))
-        jptr = &journal;
-
-    return remoteFleetCore(specs, outBase, endpoint,
-                           data.spec.jobs, data.spec, jptr,
-                           std::move(skip), latest, jo);
+    super::ResumeState rs;
+    super::beginFleetResume(rs, journalPath, data, jo);
+    // The in-flight window stays the journalled one: jo.jobs sizes a
+    // local pool, which a remote run does not have.
+    return remoteFleetCore(specs, data.spec.sessionPath, endpoint,
+                           data.spec.jobs, rs.spec, rs.jptr,
+                           std::move(rs.skip), rs.latest, jo);
 }
 
 #else // _WIN32

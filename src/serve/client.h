@@ -4,20 +4,24 @@
  * `palmtrace serve` server and reassembles its streamed results into
  * artifacts byte-identical to a local `palmtrace fleet` run.
  *
- * The client submits session specs over the PTSF protocol (a bounded
- * number in flight, respecting the server's Busy backpressure),
- * appends each job's TraceChunk frames to a temporary sibling of its
- * final trace path, and renames the temporary into place only after
- * the JobDone frame's whole-file FNV-64 verifies — so a drain, a
- * dropped connection, or a Ctrl-C can never leave a torn .ptpk
- * behind, only absent ones. The summary CSV is rendered with the
- * exact local-fleet format, so `trace diff`/cmp prove remote == local.
+ * The server runs the local fleet's item (super::runFleetItem()) and
+ * the wire carries the fleet's own spec codec and FleetMeasure, so
+ * all this client owns is the transport: one connection that submits
+ * session specs (a bounded number in flight, respecting the server's
+ * Busy backpressure), appends each job's TraceChunk frames to a
+ * temporary sibling of its final trace path, and renames the
+ * temporary into place only after the JobDone frame's whole-file
+ * FNV-64 verifies — so a drain, a dropped connection, or a Ctrl-C can
+ * never leave a torn .ptpk behind, only absent ones. The summary CSV
+ * is the local fleet's renderer (super::fleetCsv()) and finalize
+ * step, so `trace diff`/cmp prove remote == local.
  *
  * With JobOptions::journalPath set, the run is journalled client-side
  * as a RemoteFleet PTJL job: Done items record their artifact FNV and
- * measure blob, and resumeRemoteFleetJob() re-submits exactly the
- * unfinished items after a crash or interrupt, finalizing the same
- * CSV an uninterrupted run writes.
+ * measure blob, and resumeRemoteFleetJob() runs the local jobs'
+ * resume prologue (binding check, intact-artifact skips, stale .tmp
+ * cleanup) and re-submits exactly the unfinished items, finalizing
+ * the same CSV an uninterrupted run writes.
  */
 
 #ifndef PT_SERVE_CLIENT_H

@@ -1,7 +1,5 @@
 #include "protocol.h"
 
-#include <cstring>
-
 #include "base/fdio.h"
 #include "base/fnv.h"
 
@@ -10,22 +8,6 @@ namespace pt::serve
 
 namespace
 {
-
-u64
-doubleBits(double d)
-{
-    u64 v;
-    std::memcpy(&v, &d, sizeof(v));
-    return v;
-}
-
-double
-bitsDouble(u64 v)
-{
-    double d;
-    std::memcpy(&d, &v, sizeof(d));
-    return d;
-}
 
 LoadResult
 shortPayload(const BinReader &r, const char *field)
@@ -138,45 +120,6 @@ recvFrame(int fd, MsgType &type, std::vector<u8> &payload)
     return {};
 }
 
-// --- SessionSpec ------------------------------------------------------
-
-void
-putSessionSpec(BinWriter &w, const workload::SessionSpec &s)
-{
-    w.putString(s.name);
-    const workload::UserModelConfig &c = s.config;
-    w.put64(c.seed);
-    w.put32(c.interactions);
-    w.put32(c.meanThinkTicks);
-    w.put32(c.meanIdleTicks);
-    w.put32(c.meanBurstActions);
-    w.put64(doubleBits(c.strokeWeight));
-    w.put64(doubleBits(c.tapWeight));
-    w.put64(doubleBits(c.appSwitchWeight));
-    w.put64(doubleBits(c.scrollHoldWeight));
-    w.put64(doubleBits(c.beamWeight));
-}
-
-LoadResult
-getSessionSpec(BinReader &r, workload::SessionSpec &out)
-{
-    out.name = r.getString();
-    workload::UserModelConfig &c = out.config;
-    c.seed = r.get64();
-    c.interactions = r.get32();
-    c.meanThinkTicks = r.get32();
-    c.meanIdleTicks = r.get32();
-    c.meanBurstActions = r.get32();
-    c.strokeWeight = bitsDouble(r.get64());
-    c.tapWeight = bitsDouble(r.get64());
-    c.appSwitchWeight = bitsDouble(r.get64());
-    c.scrollHoldWeight = bitsDouble(r.get64());
-    c.beamWeight = bitsDouble(r.get64());
-    if (!r.ok())
-        return shortPayload(r, "spec");
-    return {};
-}
-
 // --- Submit -----------------------------------------------------------
 
 std::vector<u8>
@@ -185,7 +128,7 @@ SubmitMsg::encode() const
     BinWriter w;
     w.put64(jobId);
     w.put32(blockCapacity);
-    putSessionSpec(w, spec);
+    super::putSessionSpec(w, spec);
     return w.takeBytes();
 }
 
@@ -197,7 +140,7 @@ SubmitMsg::decode(const std::vector<u8> &payload, SubmitMsg &out)
     out.blockCapacity = r.get32();
     if (!r.ok())
         return shortPayload(r, "submit");
-    if (auto s = getSessionSpec(r, out.spec); !s)
+    if (auto s = super::getSessionSpec(r, out.spec); !s)
         return s;
     if (!r.atEnd()) {
         return LoadResult::fail(r.offset(), "submit",
@@ -265,12 +208,7 @@ JobDoneMsg::encode() const
 {
     BinWriter w;
     w.put64(jobId);
-    w.put64(events);
-    w.put64(traceBytes);
-    w.put64(ramRefs);
-    w.put64(flashRefs);
-    w.put64(instructions);
-    w.put64(cycles);
+    put(w);
     w.put64(traceFnv);
     return w.takeBytes();
 }
@@ -280,12 +218,7 @@ JobDoneMsg::decode(const std::vector<u8> &payload, JobDoneMsg &out)
 {
     BinReader r(payload);
     out.jobId = r.get64();
-    out.events = r.get64();
-    out.traceBytes = r.get64();
-    out.ramRefs = r.get64();
-    out.flashRefs = r.get64();
-    out.instructions = r.get64();
-    out.cycles = r.get64();
+    out.get(r);
     out.traceFnv = r.get64();
     if (!r.ok() || !r.atEnd())
         return shortPayload(r, "job-done");

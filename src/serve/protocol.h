@@ -52,6 +52,7 @@
 #include "base/binio.h"
 #include "base/loaderror.h"
 #include "base/types.h"
+#include "super/jobs.h"
 #include "workload/sessionrunner.h"
 
 namespace pt::serve
@@ -144,18 +145,13 @@ struct ErrorMsg
                              ErrorMsg &out);
 };
 
-/** JobDone: the per-session measure the fleet CSV row is rendered
- *  from, plus the finished trace's whole-file FNV-64 so the client
- *  can verify the streamed bytes before renaming them into place. */
-struct JobDoneMsg
+/** JobDone: the fleet measure the CSV row is rendered from (encoded
+ *  by its own codec between jobId and traceFnv), plus the finished
+ *  trace's whole-file FNV-64 so the client can verify the streamed
+ *  bytes before renaming them into place. */
+struct JobDoneMsg : super::FleetMeasure
 {
     u64 jobId = 0;
-    u64 events = 0;
-    u64 traceBytes = 0;
-    u64 ramRefs = 0;
-    u64 flashRefs = 0;
-    u64 instructions = 0;
-    u64 cycles = 0;
     u64 traceFnv = 0;
 
     std::vector<u8> encode() const;
@@ -197,10 +193,6 @@ LoadResult decodeHello(const std::vector<u8> &payload, u32 &version);
 std::vector<u8> encodeJobRef(u64 jobId, u32 queueDepth = 0);
 LoadResult decodeJobRef(const std::vector<u8> &payload, u64 &jobId,
                         u32 &queueDepth);
-
-/** Serializes one SessionSpec (the fleet journal field set). */
-void putSessionSpec(BinWriter &w, const workload::SessionSpec &s);
-LoadResult getSessionSpec(BinReader &r, workload::SessionSpec &out);
 
 } // namespace pt::serve
 

@@ -9,7 +9,6 @@
 #include "base/fdio.h"
 #include "base/logging.h"
 #include "base/threadpool.h"
-#include "core/palmsim.h"
 #include "obs/hostmem.h"
 #include "obs/registry.h"
 #include "super/jobs.h"
@@ -485,7 +484,8 @@ Server::runJob(const JobPtr &job)
         scratchBase + "-job-" +
         std::to_string(nextScratchId.fetch_add(1)) + ".ptpk";
 
-    auto fail = [&](const char *field, const std::string &reason) {
+    auto fail = [&](const std::string &field, const std::string &reason) {
+        std::remove(tracePath.c_str());
         sessionsFailed.fetch_add(1);
         sendOnConn(job->conn, MsgType::Error,
                    ErrorMsg{job->jobId, {0, field, reason}}.encode());
@@ -496,61 +496,23 @@ Server::runJob(const JobPtr &job)
         return;
     }
 
-    // The exact local-fleet item pipeline (super::fleetJobCore): the
-    // session is a pure function of its spec, so the bytes streamed
-    // back are byte-identical to `palmtrace fleet` on the same spec.
-    core::Session sess =
-        core::PalmSimulator::collect(job->spec.config);
-
-    trace::PackedTraceWriter writer(tracePath, job->blockCapacity);
-    if (!writer.ok()) {
-        fail("trace", "cannot open scratch trace " + tracePath);
-        return;
-    }
-    trace::PackedWriterSink sink(writer);
-    core::ReplayConfig cfg;
-    cfg.options.cancel = &job->cancel;
-    cfg.extraRefSink = &sink;
-    core::ReplayResult rr =
-        core::PalmSimulator::replaySession(sess, cfg);
-    if (rr.replayStats.interrupted) {
-        writer.abort();
-        if (job->timedOut.load(std::memory_order_relaxed)) {
-            fail("session",
-                 "session timeout exceeded (" +
-                     std::to_string(opts.sessionTimeoutMs) + " ms)");
-        } else {
+    // The local fleet's item: the session is a pure function of its
+    // spec, so the bytes streamed back are byte-identical to
+    // `palmtrace fleet` on the same spec.
+    super::FleetItemResult item = super::runFleetItem(
+        job->spec, tracePath, job->blockCapacity, &job->cancel);
+    if (!item.ok) {
+        if (!job->cancel.cancelled())
+            fail(item.field, item.reason);
+        else if (job->timedOut.load(std::memory_order_relaxed))
+            fail("session", "session timeout exceeded (" +
+                                std::to_string(opts.sessionTimeoutMs) +
+                                " ms)");
+        else
             fail("session", "cancelled");
-        }
         return;
     }
-    if (rr.replayStats.optionsRejected) {
-        writer.abort();
-        fail("replay", "replay options rejected: " +
-                           rr.replayStats.optionsError);
-        return;
-    }
-
-    JobDoneMsg done;
-    done.jobId = job->jobId;
-    done.events = writer.count();
-    std::string werr;
-    if (!writer.close(&werr)) {
-        fail("trace", "close " + tracePath + ": " + werr);
-        return;
-    }
-    done.traceBytes = writer.bytesWritten();
-    done.ramRefs = rr.refs.ramRefs();
-    done.flashRefs = rr.refs.flashRefs();
-    done.instructions = rr.instructions;
-    done.cycles = rr.cycles;
-    bool fnvOk = false;
-    done.traceFnv = super::fnvFile(tracePath, &fnvOk);
-    if (!fnvOk) {
-        std::remove(tracePath.c_str());
-        fail("trace", "trace unreadable after close: " + tracePath);
-        return;
-    }
+    const JobDoneMsg done{item.measure, job->jobId, item.traceFnv};
 
     // Stream the finished trace back in framed chunks, then seal the
     // stream with the JobDone carrying the whole-file FNV.

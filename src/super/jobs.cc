@@ -82,6 +82,60 @@ superOptionsFor(const JobSpec &spec, JournalWriter *journal,
     return so;
 }
 
+/** The spec fields every job kind fills from its JobOptions. */
+JobSpec
+specFor(JobKind kind, const std::string &outPath, u64 totalItems,
+        const JobOptions &jo)
+{
+    JobSpec spec;
+    spec.kind = kind;
+    spec.outPath = outPath;
+    spec.blockCapacity = jo.blockCapacity;
+    spec.totalItems = totalItems;
+    spec.maxAttempts = jo.maxAttempts;
+    spec.deadlineMs = jo.deadlineMs;
+    spec.backoffSeed = jo.backoffSeed;
+    spec.jobs = jo.jobs;
+    return spec;
+}
+
+/** The finalize step of every job: output FNV, degraded flag and the
+ *  Complete/Degraded footer. */
+JobResult &
+finishJob(JobResult &res, JournalWriter *journal, u64 outFnv)
+{
+    res.outFnv = outFnv;
+    res.degraded = res.super.itemsQuarantined > 0;
+    footerBestEffort(
+        journal,
+        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
+         res.outFnv, res.degraded ? res.super.firstError : ""});
+    res.ok = true;
+    return res;
+}
+
+/** The blob item @p i settled with: this run's outcome, or the
+ *  journalled one of an item a resume skipped. */
+const std::vector<u8> &
+settledBlob(const SuperResult &sr, const std::vector<ItemRecord> &prior,
+            std::size_t i)
+{
+    return sr.outcomes[i].blob.empty() && i < prior.size()
+               ? prior[i].blob
+               : sr.outcomes[i].blob;
+}
+
+bool
+bindingHolds(const JobSpec &spec, u64 actual, const std::string &what,
+             JobResult &res)
+{
+    if (actual == spec.bindFingerprint)
+        return true;
+    res.error = what + " no longer matches the journalled job "
+                       "(fingerprint changed)";
+    return false;
+}
+
 } // namespace
 
 u64
@@ -105,6 +159,110 @@ fnvFile(const std::string &path, bool *okOut)
     if (okOut)
         *okOut = ok;
     return ok ? h.value() : 0;
+}
+
+// ---------------------------------------------------------------------
+// Run and resume prologues, shared by every job kind
+
+bool
+openJobJournal(JournalWriter &journal, JournalWriter *&jptr,
+               const std::string &path, const JobSpec &spec,
+               JobResult &res)
+{
+    jptr = nullptr;
+    if (path.empty())
+        return true;
+    std::string err;
+    if (!journal.open(path, spec, &err)) {
+        res.error = "cannot open journal: " + err;
+        return false;
+    }
+    jptr = &journal;
+    return true;
+}
+
+bool
+loadResumable(const std::string &journalPath, JournalData &data,
+              JobResult &res)
+{
+    if (auto r = loadJournal(journalPath, data); !r) {
+        res.error = "cannot load journal " + journalPath + ": " +
+                    r.message();
+        return false;
+    }
+    res.outPath = data.spec.outPath;
+    if (data.hasFooter &&
+        data.footer.status != JobStatus::Interrupted) {
+        // An orderly complete/degraded run: nothing left to resume.
+        res.ok = true;
+        res.nothingToDo = true;
+        res.outFnv = data.footer.outFnv;
+        res.degraded = data.footer.status == JobStatus::Degraded;
+        return false;
+    }
+    return true;
+}
+
+namespace
+{
+
+/**
+ * The resume prologue every job kind shares. Skips Done items whose
+ * blob @p blobOk accepts (nullptr = any) and, when @p artifactPath is
+ * given, whose journalled artifact's FNV still matches; removes the
+ * stale .tmp of the output and of every item artifact; reopens the
+ * journal for appending; applies jo.jobs over the journalled width.
+ */
+void
+beginResume(ResumeState &rs, const std::string &journalPath,
+            const JournalData &data, const JobOptions &jo,
+            bool (*blobOk)(const std::vector<u8> &),
+            const std::function<std::string(u64)> &artifactPath)
+{
+    rs.spec = data.spec;
+    if (jo.jobs)
+        rs.spec.jobs = jo.jobs;
+
+    // Skip items whose journalled result is still intact; anything
+    // else — Failed, Running at crash time, checksum drift — re-runs.
+    rs.latest = data.latestPerItem();
+    rs.skip.assign(rs.latest.size(), false);
+    for (std::size_t i = 0; i < rs.latest.size(); ++i) {
+        const ItemRecord &rec = rs.latest[i];
+        if (rec.state != ItemState::Done || (blobOk && !blobOk(rec.blob)))
+            continue;
+        bool readable = true;
+        const u64 fnv = artifactPath ? fnvFile(rec.artifact, &readable)
+                                     : rec.artifactFnv;
+        rs.skip[i] = readable && fnv == rec.artifactFnv;
+    }
+
+    // Stale temp hygiene: a crash can strand <artifact>.tmp /
+    // <out>.tmp litter. They are this job's own temporaries, so the
+    // resume removes them before re-running.
+    if (artifactPath) {
+        for (u64 i = 0; i < data.spec.totalItems; ++i)
+            std::remove((artifactPath(i) + ".tmp").c_str());
+    }
+    std::remove((data.spec.outPath + ".tmp").c_str());
+
+    if (rs.journal.openAppend(journalPath, data.validBytes))
+        rs.jptr = &rs.journal;
+}
+
+} // namespace
+
+JobResult &
+finishCsv(JobResult &res, JournalWriter *journal, const std::string &csv)
+{
+    BinWriter w;
+    w.putBytes(csv.data(), csv.size());
+    std::string err;
+    if (!w.writeFile(res.outPath, &err)) {
+        res.error = "write " + res.outPath + ": " + err;
+        return res;
+    }
+    return finishJob(res, journal, fnv64(csv.data(), csv.size()));
 }
 
 // ---------------------------------------------------------------------
@@ -198,64 +356,13 @@ epochJobCore(const core::Session &s, const epoch::EpochPlan &plan,
     res.refs = st.refs;
     res.bytesWritten = st.bytesWritten;
 
-    bool fnvOk = false;
-    res.outFnv = fnvFile(spec.outPath, &fnvOk);
-    res.degraded = res.super.itemsQuarantined > 0;
-    footerBestEffort(
-        journal,
-        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-
+    finishJob(res, journal, fnvFile(spec.outPath));
     if (!jo.keepShards) {
         for (std::size_t k = 0; k < n; ++k)
             std::remove(epoch::shardPath(spec.outPath, k).c_str());
     }
-    res.ok = true;
     return res;
 }
-
-} // namespace
-
-JobResult
-runEpochJob(const core::Session &s, const std::string &sessionPath,
-            const epoch::EpochPlan &plan, const std::string &planPath,
-            const std::string &outPath, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = outPath;
-    if (std::string err = epoch::validatePlan(s, plan); !err.empty()) {
-        res.error = err;
-        return res;
-    }
-
-    JobSpec spec;
-    spec.kind = JobKind::EpochRun;
-    spec.sessionPath = sessionPath;
-    spec.planPath = planPath;
-    spec.outPath = outPath;
-    spec.blockCapacity = jo.blockCapacity;
-    spec.totalItems = plan.entries.size();
-    spec.maxAttempts = jo.maxAttempts;
-    spec.deadlineMs = jo.deadlineMs;
-    spec.backoffSeed = jo.backoffSeed;
-    spec.bindFingerprint = plan.logFingerprint;
-    spec.jobs = jo.jobs;
-
-    JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    if (!jo.journalPath.empty()) {
-        std::string err;
-        if (!journal.open(jo.journalPath, spec, &err)) {
-            res.error = "cannot open journal: " + err;
-            return res;
-        }
-        jptr = &journal;
-    }
-    return epochJobCore(s, plan, spec, jptr, {}, jo);
-}
-
-namespace
-{
 
 JobResult
 resumeEpochJob(const std::string &journalPath, const JournalData &data,
@@ -277,10 +384,8 @@ resumeEpochJob(const std::string &journalPath, const JournalData &data,
                     r.message();
         return res;
     }
-    if (plan.logFingerprint != data.spec.bindFingerprint) {
-        res.error = "the plan at " + data.spec.planPath +
-                    " no longer matches the journalled job "
-                    "(fingerprint changed)";
+    if (!bindingHolds(data.spec, plan.logFingerprint,
+                      "the plan at " + data.spec.planPath, res)) {
         return res;
     }
     if (std::string err = epoch::validatePlan(s, plan); !err.empty()) {
@@ -293,42 +398,49 @@ resumeEpochJob(const std::string &journalPath, const JournalData &data,
         return res;
     }
 
-    // Skip items whose journalled artifact is still intact on disk;
-    // anything else — Failed, Running at crash time, checksum drift —
-    // re-runs from its checkpoint.
-    std::vector<ItemRecord> latest = data.latestPerItem();
-    std::vector<bool> skip(latest.size(), false);
-    for (std::size_t i = 0; i < latest.size(); ++i) {
-        if (latest[i].state != ItemState::Done)
-            continue;
-        bool ok = false;
-        const u64 f = fnvFile(latest[i].artifact, &ok);
-        skip[i] = ok && f == latest[i].artifactFnv;
+    ResumeState rs;
+    beginResume(rs, journalPath, data, jo, nullptr, [&](u64 k) {
+        return epoch::shardPath(data.spec.outPath, k);
+    });
+    return epochJobCore(s, plan, rs.spec, rs.jptr, std::move(rs.skip),
+                        jo);
+}
+
+} // namespace
+
+JobResult
+runEpochJob(const core::Session &s, const std::string &sessionPath,
+            const epoch::EpochPlan &plan, const std::string &planPath,
+            const std::string &outPath, const JobOptions &jo)
+{
+    JobResult res;
+    res.outPath = outPath;
+    if (std::string err = epoch::validatePlan(s, plan); !err.empty()) {
+        res.error = err;
+        return res;
     }
 
-    // Stale temp hygiene: a crash can strand <shard>.tmp /
-    // <out>.tmp litter. They are this job's own temporaries, so the
-    // resume removes them before re-running.
-    for (std::size_t k = 0; k < data.spec.totalItems; ++k) {
-        std::remove(
-            (epoch::shardPath(data.spec.outPath, k) + ".tmp").c_str());
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
+    JobSpec spec =
+        specFor(JobKind::EpochRun, outPath, plan.entries.size(), jo);
+    spec.sessionPath = sessionPath;
+    spec.planPath = planPath;
+    spec.bindFingerprint = plan.logFingerprint;
 
     JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    std::string err;
-    if (journal.openAppend(journalPath, data.validBytes, &err))
-        jptr = &journal;
-
-    JobSpec spec = data.spec;
-    if (jo.jobs)
-        spec.jobs = jo.jobs;
-    return epochJobCore(s, plan, spec, jptr, std::move(skip), jo);
+    JournalWriter *jptr;
+    if (!openJobJournal(journal, jptr, jo.journalPath, spec, res))
+        return res;
+    return epochJobCore(s, plan, spec, jptr, {}, jo);
 }
 
 // ---------------------------------------------------------------------
 // Sweep jobs
+
+namespace
+{
+
+/** One journalled config: size, line, assoc (u32 each), policy (u8). */
+constexpr std::size_t kConfigBytes = 13;
 
 std::vector<u8>
 serializeConfigs(const std::vector<cache::CacheConfig> &configs)
@@ -344,22 +456,59 @@ serializeConfigs(const std::vector<cache::CacheConfig> &configs)
     return w.takeBytes();
 }
 
-bool
+LoadResult
 deserializeConfigs(const std::vector<u8> &extra,
                    std::vector<cache::CacheConfig> &out)
 {
     BinReader r(extra);
-    u32 count = r.get32();
+    const u32 count = r.get32();
+    if (!r.ok() || count > r.remaining() / kConfigBytes) {
+        return LoadResult::fail(0, "configs.count",
+                                std::to_string(count) +
+                                    " configs cannot fit in the bytes "
+                                    "that follow");
+    }
     out.clear();
-    for (u32 i = 0; i < count && r.ok(); ++i) {
+    for (u32 i = 0; i < count; ++i) {
         cache::CacheConfig c;
         c.sizeBytes = r.get32();
         c.lineBytes = r.get32();
         c.assoc = r.get32();
-        c.policy = static_cast<cache::Policy>(r.get8());
+        const u8 policy = r.get8();
+        if (policy > static_cast<u8>(cache::Policy::Random)) {
+            return LoadResult::fail(r.offset() - 1, "configs.policy",
+                                    "unknown replacement policy " +
+                                        std::to_string(policy));
+        }
+        c.policy = static_cast<cache::Policy>(policy);
         out.push_back(c);
     }
-    return r.ok() && out.size() == count && r.atEnd();
+    if (!r.atEnd()) {
+        return LoadResult::fail(r.offset(), "configs",
+                                "trailing bytes after the last config");
+    }
+    return {};
+}
+
+/** The input check run and resume share: every config valid and the
+ *  trace readable. @p traceFnv receives the binding fingerprint. */
+bool
+checkSweepInputs(const std::vector<cache::CacheConfig> &configs,
+                 const std::string &tracePath, u64 &traceFnv,
+                 JobResult &res)
+{
+    for (const cache::CacheConfig &c : configs) {
+        if (auto r = c.validate(); !r) {
+            res.error = "bad cache config " + c.name() + ": " +
+                        r.message();
+            return false;
+        }
+    }
+    bool fnvOk = false;
+    traceFnv = fnvFile(tracePath, &fnvOk);
+    if (!fnvOk)
+        res.error = "cannot read trace " + tracePath;
+    return fnvOk;
 }
 
 std::vector<u8>
@@ -388,6 +537,13 @@ sweepStatsFromBlob(const std::vector<u8> &blob, cache::CacheStats &st)
     st.flashAccesses = r.get64();
     st.flashMisses = r.get64();
     return r.ok() && r.atEnd();
+}
+
+bool
+sweepBlobOk(const std::vector<u8> &blob)
+{
+    cache::CacheStats st;
+    return sweepStatsFromBlob(blob, st);
 }
 
 JobResult
@@ -460,12 +616,9 @@ sweepJobCore(const std::vector<cache::CacheConfig> &configs,
         csv += ',' + std::to_string(c.assoc);
         csv += ',';
         csv += cache::policyName(c.policy);
-        const std::vector<u8> &blob =
-            res.super.outcomes[i].blob.empty() && i < prior.size()
-                ? prior[i].blob
-                : res.super.outcomes[i].blob;
         cache::CacheStats st;
-        if (res.super.quarantined[i] || !sweepStatsFromBlob(blob, st)) {
+        if (res.super.quarantined[i] ||
+            !sweepStatsFromBlob(settledBlob(res.super, prior, i), st)) {
             csv += ",quarantined,0,0,0.000000,0,0,0,0\n";
             continue;
         }
@@ -480,22 +633,40 @@ sweepJobCore(const std::vector<cache::CacheConfig> &configs,
         csv += ',' + std::to_string(st.flashMisses);
         csv += '\n';
     }
+    return finishCsv(res, journal, csv);
+}
 
-    BinWriter w;
-    w.putBytes(csv.data(), csv.size());
-    std::string err;
-    if (!w.writeFile(spec.outPath, &err)) {
-        res.error = "write " + spec.outPath + ": " + err;
+JobResult
+resumeSweepJob(const std::string &journalPath, const JournalData &data,
+               const JobOptions &jo)
+{
+    JobResult res;
+    res.outPath = data.spec.outPath;
+
+    std::vector<cache::CacheConfig> configs;
+    if (auto r = deserializeConfigs(data.spec.extra, configs); !r) {
+        res.error = "journalled sweep configs are corrupt: " +
+                    r.message();
         return res;
     }
-    res.outFnv = fnv64(csv.data(), csv.size());
-    res.degraded = res.super.itemsQuarantined > 0;
-    footerBestEffort(
-        journal,
-        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-    res.ok = true;
-    return res;
+    if (configs.size() != data.spec.totalItems) {
+        res.error = "journalled sweep configs are corrupt: " +
+                    std::to_string(configs.size()) + " configs for " +
+                    std::to_string(data.spec.totalItems) + " items";
+        return res;
+    }
+    u64 traceFnv = 0;
+    if (!checkSweepInputs(configs, data.spec.sessionPath, traceFnv,
+                          res) ||
+        !bindingHolds(data.spec, traceFnv,
+                      "the trace at " + data.spec.sessionPath, res)) {
+        return res;
+    }
+
+    ResumeState rs;
+    beginResume(rs, journalPath, data, jo, sweepBlobOk, nullptr);
+    return sweepJobCore(configs, rs.spec, rs.jptr, std::move(rs.skip),
+                        rs.latest, jo);
 }
 
 } // namespace
@@ -507,378 +678,70 @@ runSweepJob(const std::string &tracePath,
 {
     JobResult res;
     res.outPath = outPath;
-    for (const cache::CacheConfig &c : configs) {
-        if (auto r = c.validate(); !r) {
-            res.error = "bad cache config " + c.name() + ": " +
-                        r.message();
-            return res;
-        }
-    }
-
-    bool fnvOk = false;
-    const u64 traceFnv = fnvFile(tracePath, &fnvOk);
-    if (!fnvOk) {
-        res.error = "cannot read trace " + tracePath;
+    u64 traceFnv = 0;
+    if (!checkSweepInputs(configs, tracePath, traceFnv, res))
         return res;
-    }
 
-    JobSpec spec;
-    spec.kind = JobKind::PackedSweep;
+    JobSpec spec =
+        specFor(JobKind::PackedSweep, outPath, configs.size(), jo);
     spec.sessionPath = tracePath;
-    spec.outPath = outPath;
-    spec.blockCapacity = jo.blockCapacity;
-    spec.totalItems = configs.size();
-    spec.maxAttempts = jo.maxAttempts;
-    spec.deadlineMs = jo.deadlineMs;
-    spec.backoffSeed = jo.backoffSeed;
     spec.bindFingerprint = traceFnv;
-    spec.jobs = jo.jobs;
     spec.extra = serializeConfigs(configs);
 
     JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    if (!jo.journalPath.empty()) {
-        std::string err;
-        if (!journal.open(jo.journalPath, spec, &err)) {
-            res.error = "cannot open journal: " + err;
-            return res;
-        }
-        jptr = &journal;
-    }
+    JournalWriter *jptr;
+    if (!openJobJournal(journal, jptr, jo.journalPath, spec, res))
+        return res;
     return sweepJobCore(configs, spec, jptr, {}, {}, jo);
 }
 
+// ---------------------------------------------------------------------
+// The fleet pipeline
+
 namespace
 {
 
-JobResult
-resumeSweepJob(const std::string &journalPath, const JournalData &data,
-               const JobOptions &jo)
+/** The smallest encoded spec: an empty name plus the fixed fields. */
+constexpr std::size_t kMinSpecBytes = 4 + 8 + 4 * 4 + 5 * 8;
+
+/** A u32 count, then that many specs: the last field of both fleet
+ *  journal extras. */
+void
+putSessionSpecs(BinWriter &w,
+                const std::vector<workload::SessionSpec> &specs)
 {
-    JobResult res;
-    res.outPath = data.spec.outPath;
-
-    std::vector<cache::CacheConfig> configs;
-    if (!deserializeConfigs(data.spec.extra, configs) ||
-        configs.size() != data.spec.totalItems) {
-        res.error = "journalled sweep configs are corrupt";
-        return res;
-    }
-    bool fnvOk = false;
-    const u64 traceFnv = fnvFile(data.spec.sessionPath, &fnvOk);
-    if (!fnvOk || traceFnv != data.spec.bindFingerprint) {
-        res.error = "the trace at " + data.spec.sessionPath +
-                    " no longer matches the journalled job "
-                    "(fingerprint changed)";
-        return res;
-    }
-
-    std::vector<ItemRecord> latest = data.latestPerItem();
-    std::vector<bool> skip(latest.size(), false);
-    for (std::size_t i = 0; i < latest.size(); ++i) {
-        cache::CacheStats st;
-        skip[i] = latest[i].state == ItemState::Done &&
-                  sweepStatsFromBlob(latest[i].blob, st);
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
-
-    JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    std::string err;
-    if (journal.openAppend(journalPath, data.validBytes, &err))
-        jptr = &journal;
-
-    JobSpec spec = data.spec;
-    if (jo.jobs)
-        spec.jobs = jo.jobs;
-    return sweepJobCore(configs, spec, jptr, std::move(skip), latest,
-                        jo);
-}
-
-// ---------------------------------------------------------------------
-// Session-batch jobs
-
-std::vector<u8>
-serializeSpecs(const std::vector<workload::SessionSpec> &specs)
-{
-    BinWriter w;
     w.put32(static_cast<u32>(specs.size()));
-    for (const workload::SessionSpec &s : specs) {
-        w.putString(s.name);
-        const workload::UserModelConfig &c = s.config;
-        w.put64(c.seed);
-        w.put32(c.interactions);
-        w.put32(c.meanThinkTicks);
-        w.put32(c.meanIdleTicks);
-        w.put32(c.meanBurstActions);
-        w.put64(doubleBits(c.strokeWeight));
-        w.put64(doubleBits(c.tapWeight));
-        w.put64(doubleBits(c.appSwitchWeight));
-        w.put64(doubleBits(c.scrollHoldWeight));
-        w.put64(doubleBits(c.beamWeight));
-    }
-    return w.takeBytes();
+    for (const workload::SessionSpec &s : specs)
+        putSessionSpec(w, s);
 }
 
-bool
-deserializeSpecs(const std::vector<u8> &extra,
-                 std::vector<workload::SessionSpec> &out)
+LoadResult
+getSessionSpecs(BinReader &r, std::vector<workload::SessionSpec> &out)
 {
-    BinReader r(extra);
-    u32 count = r.get32();
+    const std::size_t at = r.offset();
+    const u32 count = r.get32();
+    // Checked before anything is allocated: a hostile count must be a
+    // structured error, not an allocation bomb.
+    if (!r.ok() || count > r.remaining() / kMinSpecBytes) {
+        return LoadResult::fail(at, "specs.count",
+                                std::to_string(count) +
+                                    " specs cannot fit in the bytes "
+                                    "that follow");
+    }
     out.clear();
-    for (u32 i = 0; i < count && r.ok(); ++i) {
+    out.reserve(count);
+    for (u32 i = 0; i < count; ++i) {
         workload::SessionSpec s;
-        s.name = r.getString();
-        workload::UserModelConfig &c = s.config;
-        c.seed = r.get64();
-        c.interactions = r.get32();
-        c.meanThinkTicks = r.get32();
-        c.meanIdleTicks = r.get32();
-        c.meanBurstActions = r.get32();
-        c.strokeWeight = bitsDouble(r.get64());
-        c.tapWeight = bitsDouble(r.get64());
-        c.appSwitchWeight = bitsDouble(r.get64());
-        c.scrollHoldWeight = bitsDouble(r.get64());
-        c.beamWeight = bitsDouble(r.get64());
+        if (auto e = getSessionSpec(r, s); !e)
+            return e;
         out.push_back(std::move(s));
     }
-    return r.ok() && out.size() == count && r.atEnd();
-}
-
-struct SessionMeasure
-{
-    workload::UserSessionStats user;
-    u64 ramRefs = 0;
-    u64 flashRefs = 0;
-    u64 instructions = 0;
-    u64 cycles = 0;
-};
-
-std::vector<u8>
-sessionBlob(const SessionMeasure &m)
-{
-    BinWriter w;
-    w.put32(m.user.strokes);
-    w.put32(m.user.taps);
-    w.put32(m.user.appSwitches);
-    w.put32(m.user.scrollHolds);
-    w.put32(m.user.beams);
-    w.put32(m.user.elapsedTicks);
-    w.put64(m.ramRefs);
-    w.put64(m.flashRefs);
-    w.put64(m.instructions);
-    w.put64(m.cycles);
-    return w.takeBytes();
-}
-
-bool
-sessionFromBlob(const std::vector<u8> &blob, SessionMeasure &m)
-{
-    BinReader r(blob);
-    m.user.strokes = r.get32();
-    m.user.taps = r.get32();
-    m.user.appSwitches = r.get32();
-    m.user.scrollHolds = r.get32();
-    m.user.beams = r.get32();
-    m.user.elapsedTicks = r.get32();
-    m.ramRefs = r.get64();
-    m.flashRefs = r.get64();
-    m.instructions = r.get64();
-    m.cycles = r.get64();
-    return r.ok() && r.atEnd();
-}
-
-JobResult
-batchJobCore(const std::vector<workload::SessionSpec> &specs,
-             const JobSpec &spec, JournalWriter *journal,
-             std::vector<bool> skip,
-             const std::vector<ItemRecord> &prior, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = spec.outPath;
-    const std::size_t n = specs.size();
-
-    ItemFn fn = [&](u64 i, CancelToken &tok) -> ItemOutcome {
-        ItemOutcome out;
-        const workload::SessionSpec &ss =
-            specs[static_cast<std::size_t>(i)];
-
-        // Scoped metrics, published only on success (see sweepJobCore).
-        std::unique_ptr<obs::MetricScope> scope;
-        std::unique_ptr<obs::ScopedProfileSink> scoped;
-        if (obs::profileSink()) {
-            scope =
-                std::make_unique<obs::MetricScope>("session/" + ss.name);
-            scoped = std::make_unique<obs::ScopedProfileSink>(*scope);
-        }
-
-        core::PalmSimulator sim;
-        sim.beginCollection();
-        SessionMeasure m;
-        m.user = sim.runUser(ss.config);
-        core::Session sess = sim.endCollection();
-
-        core::ReplayConfig cfg;
-        cfg.options.cancel = &tok;
-        core::ReplayResult rr =
-            core::PalmSimulator::replaySession(sess, cfg);
-        if (rr.replayStats.interrupted) {
-            out.error = "interrupted";
-            return out;
-        }
-        if (rr.replayStats.optionsRejected) {
-            out.error = "replay options rejected: " +
-                        rr.replayStats.optionsError;
-            return out;
-        }
-        m.ramRefs = rr.refs.ramRefs();
-        m.flashRefs = rr.refs.flashRefs();
-        m.instructions = rr.instructions;
-        m.cycles = rr.cycles;
-        out.ok = true;
-        out.blob = sessionBlob(m);
-        if (scope)
-            scope->publish();
-        return out;
-    };
-
-    res.super = superviseItems(
-        n, fn,
-        superOptionsFor(spec, journal, jo.globalCancel,
-                        jo.backoffBaseMs, std::move(skip)));
-
-    if (handleInterrupt(res, journal))
-        return res;
-
-    std::string csv =
-        "session,status,strokes,taps,app_switches,scroll_holds,beams,"
-        "elapsed_ticks,ram_refs,flash_refs,instructions,cycles\n";
-    for (std::size_t i = 0; i < n; ++i) {
-        csv += specs[i].name;
-        const std::vector<u8> &blob =
-            res.super.outcomes[i].blob.empty() && i < prior.size()
-                ? prior[i].blob
-                : res.super.outcomes[i].blob;
-        SessionMeasure m;
-        if (res.super.quarantined[i] || !sessionFromBlob(blob, m)) {
-            csv += ",quarantined,0,0,0,0,0,0,0,0,0,0\n";
-            continue;
-        }
-        csv += ",ok,";
-        csv += std::to_string(m.user.strokes);
-        csv += ',' + std::to_string(m.user.taps);
-        csv += ',' + std::to_string(m.user.appSwitches);
-        csv += ',' + std::to_string(m.user.scrollHolds);
-        csv += ',' + std::to_string(m.user.beams);
-        csv += ',' + std::to_string(m.user.elapsedTicks);
-        csv += ',' + std::to_string(m.ramRefs);
-        csv += ',' + std::to_string(m.flashRefs);
-        csv += ',' + std::to_string(m.instructions);
-        csv += ',' + std::to_string(m.cycles);
-        csv += '\n';
+    if (!r.atEnd()) {
+        return LoadResult::fail(r.offset(), "specs",
+                                "trailing bytes after the last spec");
     }
-
-    BinWriter w;
-    w.putBytes(csv.data(), csv.size());
-    std::string err;
-    if (!w.writeFile(spec.outPath, &err)) {
-        res.error = "write " + spec.outPath + ": " + err;
-        return res;
-    }
-    res.outFnv = fnv64(csv.data(), csv.size());
-    res.degraded = res.super.itemsQuarantined > 0;
-    footerBestEffort(
-        journal,
-        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-    res.ok = true;
-    return res;
+    return {};
 }
-
-} // namespace
-
-JobResult
-runSessionBatchJob(const std::vector<workload::SessionSpec> &specs,
-                   const std::string &outPath, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = outPath;
-
-    JobSpec spec;
-    spec.kind = JobKind::SessionBatch;
-    spec.outPath = outPath;
-    spec.totalItems = specs.size();
-    spec.maxAttempts = jo.maxAttempts;
-    spec.deadlineMs = jo.deadlineMs;
-    spec.backoffSeed = jo.backoffSeed;
-    spec.jobs = jo.jobs;
-    spec.extra = serializeSpecs(specs);
-    // The specs travel inside the journal itself, so the binding
-    // fingerprint covers them directly.
-    spec.bindFingerprint =
-        fnv64(spec.extra.data(), spec.extra.size());
-
-    JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    if (!jo.journalPath.empty()) {
-        std::string err;
-        if (!journal.open(jo.journalPath, spec, &err)) {
-            res.error = "cannot open journal: " + err;
-            return res;
-        }
-        jptr = &journal;
-    }
-    return batchJobCore(specs, spec, jptr, {}, {}, jo);
-}
-
-namespace
-{
-
-JobResult
-resumeBatchJob(const std::string &journalPath, const JournalData &data,
-               const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = data.spec.outPath;
-
-    std::vector<workload::SessionSpec> specs;
-    if (!deserializeSpecs(data.spec.extra, specs) ||
-        specs.size() != data.spec.totalItems) {
-        res.error = "journalled session specs are corrupt";
-        return res;
-    }
-    if (fnv64(data.spec.extra.data(), data.spec.extra.size()) !=
-        data.spec.bindFingerprint) {
-        res.error = "journalled session specs fail their binding "
-                    "fingerprint";
-        return res;
-    }
-
-    std::vector<ItemRecord> latest = data.latestPerItem();
-    std::vector<bool> skip(latest.size(), false);
-    for (std::size_t i = 0; i < latest.size(); ++i) {
-        SessionMeasure m;
-        skip[i] = latest[i].state == ItemState::Done &&
-                  sessionFromBlob(latest[i].blob, m);
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
-
-    JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    std::string err;
-    if (journal.openAppend(journalPath, data.validBytes, &err))
-        jptr = &journal;
-
-    JobSpec spec = data.spec;
-    if (jo.jobs)
-        spec.jobs = jo.jobs;
-    return batchJobCore(specs, spec, jptr, std::move(skip), latest,
-                        jo);
-}
-
-// ---------------------------------------------------------------------
-// Fleet jobs
 
 std::vector<u8>
 serializeFleetExtra(const std::vector<workload::SessionSpec> &specs,
@@ -886,56 +749,46 @@ serializeFleetExtra(const std::vector<workload::SessionSpec> &specs,
 {
     BinWriter w;
     w.put8(fo.saveSessions ? 1 : 0);
-    const std::vector<u8> s = serializeSpecs(specs);
-    w.putBytes(s.data(), s.size());
+    putSessionSpecs(w, specs);
     return w.takeBytes();
 }
 
+/** The spec check both fleet resumes share: false, with res.error
+ *  set, when the spec list failed to decode (@p decoded), disagrees
+ *  with the item count, or fails the binding fingerprint. */
 bool
-deserializeFleetExtra(const std::vector<u8> &extra,
-                      std::vector<workload::SessionSpec> &specs,
-                      FleetOptions &fo)
+fleetSpecsHold(const LoadResult &decoded,
+               const std::vector<workload::SessionSpec> &specs,
+               const JobSpec &spec, JobResult &res)
 {
-    if (extra.empty())
+    const std::string what =
+        std::string("journalled ") + jobKindName(spec.kind) + " specs";
+    if (!decoded) {
+        res.error = what + " are corrupt: " + decoded.message();
         return false;
-    fo.saveSessions = extra[0] != 0;
-    return deserializeSpecs({extra.begin() + 1, extra.end()}, specs);
-}
-
-struct FleetMeasure
-{
-    u64 events = 0;     ///< packed records written
-    u64 traceBytes = 0; ///< finished .ptpk size
-    u64 ramRefs = 0;
-    u64 flashRefs = 0;
-    u64 instructions = 0;
-    u64 cycles = 0;
-};
-
-std::vector<u8>
-fleetBlob(const FleetMeasure &m)
-{
-    BinWriter w;
-    w.put64(m.events);
-    w.put64(m.traceBytes);
-    w.put64(m.ramRefs);
-    w.put64(m.flashRefs);
-    w.put64(m.instructions);
-    w.put64(m.cycles);
-    return w.takeBytes();
+    }
+    if (specs.size() != spec.totalItems) {
+        res.error = what + " are corrupt: " +
+                    std::to_string(specs.size()) + " specs for " +
+                    std::to_string(spec.totalItems) + " items";
+        return false;
+    }
+    // The specs travel inside the journal, so the binding fingerprint
+    // covers them directly.
+    return bindingHolds(spec, fnv64(spec.extra.data(), spec.extra.size()),
+                        "the " + what, res);
 }
 
 bool
-fleetFromBlob(const std::vector<u8> &blob, FleetMeasure &m)
+fleetSpecs(const JobSpec &spec, std::vector<workload::SessionSpec> &specs,
+           FleetOptions &fo, JobResult &res)
 {
-    BinReader r(blob);
-    m.events = r.get64();
-    m.traceBytes = r.get64();
-    m.ramRefs = r.get64();
-    m.flashRefs = r.get64();
-    m.instructions = r.get64();
-    m.cycles = r.get64();
-    return r.ok() && r.atEnd();
+    BinReader r(spec.extra);
+    fo.saveSessions = r.get8() != 0;
+    return fleetSpecsHold(r.ok() ? getSessionSpecs(r, specs)
+                                 : LoadResult::fail(0, "saveSessions",
+                                                    "missing"),
+                          specs, spec, res);
 }
 
 JobResult
@@ -964,66 +817,19 @@ fleetJobCore(const std::vector<workload::SessionSpec> &specs,
             scoped = std::make_unique<obs::ScopedProfileSink>(*scope);
         }
 
-        // Each item is a pure function of its spec: the device boots
-        // from the shared ROM pages, the session is deterministic in
-        // the spec's seed, and the packed trace streams straight to
-        // disk — so the bytes cannot depend on job count or on which
-        // worker ran the item.
-        core::Session sess = core::PalmSimulator::collect(ss.config);
-        if (fo.saveSessions) {
-            std::string serr;
-            if (!sess.save(outBase + "-session-" + std::to_string(i),
-                           &serr)) {
-                out.error = "cannot save session: " + serr;
-                return out;
-            }
-        }
-
         const std::string tracePath = fleetTracePath(outBase, i);
-        trace::PackedTraceWriter writer(tracePath,
-                                        spec.blockCapacity);
-        if (!writer.ok()) {
-            out.error = "cannot open trace " + tracePath;
+        FleetItemResult r = runFleetItem(
+            ss, tracePath, spec.blockCapacity, &tok,
+            fo.saveSessions ? outBase + "-session-" + std::to_string(i)
+                            : std::string());
+        if (!r.ok) {
+            out.error = r.reason;
             return out;
         }
-        trace::PackedWriterSink sink(writer);
-        core::ReplayConfig cfg;
-        cfg.options.cancel = &tok;
-        cfg.extraRefSink = &sink;
-        core::ReplayResult rr =
-            core::PalmSimulator::replaySession(sess, cfg);
-        if (rr.replayStats.interrupted) {
-            writer.abort();
-            out.error = "interrupted";
-            return out;
-        }
-        if (rr.replayStats.optionsRejected) {
-            writer.abort();
-            out.error = "replay options rejected: " +
-                        rr.replayStats.optionsError;
-            return out;
-        }
-        FleetMeasure m;
-        m.events = writer.count();
-        std::string werr;
-        if (!writer.close(&werr)) {
-            out.error = "close " + tracePath + ": " + werr;
-            return out;
-        }
-        m.traceBytes = writer.bytesWritten();
-        bool fnvOk = false;
-        out.artifactFnv = fnvFile(tracePath, &fnvOk);
-        if (!fnvOk) {
-            out.error = "trace unreadable after close: " + tracePath;
-            return out;
-        }
-        m.ramRefs = rr.refs.ramRefs();
-        m.flashRefs = rr.refs.flashRefs();
-        m.instructions = rr.instructions;
-        m.cycles = rr.cycles;
         out.ok = true;
         out.artifact = tracePath;
-        out.blob = fleetBlob(m);
+        out.artifactFnv = r.traceFnv;
+        out.blob = r.measure.blob();
         if (scope)
             scope->publish();
         return out;
@@ -1040,12 +846,8 @@ fleetJobCore(const std::vector<workload::SessionSpec> &specs,
     // items so a resumed run reports the whole fleet.
     u64 totalEvents = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<u8> &blob =
-            res.super.outcomes[i].blob.empty() && i < prior.size()
-                ? prior[i].blob
-                : res.super.outcomes[i].blob;
         FleetMeasure m;
-        if (fleetFromBlob(blob, m))
+        if (m.fromBlob(settledBlob(res.super, prior, i)))
             totalEvents += m.events;
     }
     const double elapsed =
@@ -1067,18 +869,221 @@ fleetJobCore(const std::vector<workload::SessionSpec> &specs,
 
     if (handleInterrupt(res, journal))
         return res; // finished traces stay for the resume
+    return finishCsv(res, journal,
+                     fleetCsv(specs, outBase, res.super, prior));
+}
 
+JobResult
+resumeFleetJob(const std::string &journalPath, const JournalData &data,
+               const JobOptions &jo)
+{
+    JobResult res;
+    res.outPath = data.spec.outPath;
+
+    std::vector<workload::SessionSpec> specs;
+    FleetOptions fo;
+    if (!fleetSpecs(data.spec, specs, fo, res))
+        return res;
+
+    ResumeState rs;
+    beginFleetResume(rs, journalPath, data, jo);
+    return fleetJobCore(specs, fo, rs.spec, rs.jptr, std::move(rs.skip),
+                        rs.latest, jo);
+}
+
+} // namespace
+
+void
+putSessionSpec(BinWriter &w, const workload::SessionSpec &s)
+{
+    w.putString(s.name);
+    const workload::UserModelConfig &c = s.config;
+    w.put64(c.seed);
+    w.put32(c.interactions);
+    w.put32(c.meanThinkTicks);
+    w.put32(c.meanIdleTicks);
+    w.put32(c.meanBurstActions);
+    w.put64(doubleBits(c.strokeWeight));
+    w.put64(doubleBits(c.tapWeight));
+    w.put64(doubleBits(c.appSwitchWeight));
+    w.put64(doubleBits(c.scrollHoldWeight));
+    w.put64(doubleBits(c.beamWeight));
+}
+
+LoadResult
+getSessionSpec(BinReader &r, workload::SessionSpec &out)
+{
+    out.name = r.getString();
+    workload::UserModelConfig &c = out.config;
+    c.seed = r.get64();
+    c.interactions = r.get32();
+    c.meanThinkTicks = r.get32();
+    c.meanIdleTicks = r.get32();
+    c.meanBurstActions = r.get32();
+    c.strokeWeight = bitsDouble(r.get64());
+    c.tapWeight = bitsDouble(r.get64());
+    c.appSwitchWeight = bitsDouble(r.get64());
+    c.scrollHoldWeight = bitsDouble(r.get64());
+    c.beamWeight = bitsDouble(r.get64());
+    if (!r.ok()) {
+        return LoadResult::fail(r.offset(), "spec",
+                                "payload truncated or malformed");
+    }
+    return {};
+}
+
+void
+beginFleetResume(ResumeState &rs, const std::string &journalPath,
+                 const JournalData &data, const JobOptions &jo)
+{
+    // Skip only items whose journalled trace is still intact on disk:
+    // the .ptpk is the product, not just the row.
+    beginResume(
+        rs, journalPath, data, jo,
+        [](const std::vector<u8> &b) { return FleetMeasure{}.fromBlob(b); },
+        [&](u64 i) { return fleetTracePath(data.spec.sessionPath, i); });
+}
+
+std::vector<u8>
+remoteFleetExtra(const std::string &endpoint,
+                 const std::vector<workload::SessionSpec> &specs)
+{
+    BinWriter w;
+    w.putString(endpoint);
+    putSessionSpecs(w, specs);
+    return w.takeBytes();
+}
+
+bool
+remoteFleetSpecs(const JobSpec &spec, std::string &endpoint,
+                 std::vector<workload::SessionSpec> &specs,
+                 JobResult &res)
+{
+    BinReader r(spec.extra);
+    endpoint = r.getString();
+    return fleetSpecsHold(r.ok() ? getSessionSpecs(r, specs)
+                                 : LoadResult::fail(0, "endpoint",
+                                                    "truncated"),
+                          specs, spec, res);
+}
+
+void
+FleetMeasure::put(BinWriter &w) const
+{
+    w.put64(events);
+    w.put64(traceBytes);
+    w.put64(ramRefs);
+    w.put64(flashRefs);
+    w.put64(instructions);
+    w.put64(cycles);
+}
+
+void
+FleetMeasure::get(BinReader &r)
+{
+    events = r.get64();
+    traceBytes = r.get64();
+    ramRefs = r.get64();
+    flashRefs = r.get64();
+    instructions = r.get64();
+    cycles = r.get64();
+}
+
+std::vector<u8>
+FleetMeasure::blob() const
+{
+    BinWriter w;
+    put(w);
+    return w.takeBytes();
+}
+
+bool
+FleetMeasure::fromBlob(const std::vector<u8> &blob)
+{
+    BinReader r(blob);
+    get(r);
+    return r.ok() && r.atEnd();
+}
+
+FleetItemResult
+runFleetItem(const workload::SessionSpec &spec,
+             const std::string &tracePath, u32 blockCapacity,
+             CancelToken *cancel, const std::string &sessionBase)
+{
+    FleetItemResult r;
+    auto fail = [&r](const char *field, std::string reason) {
+        r.field = field;
+        r.reason = std::move(reason);
+        return r;
+    };
+
+    // The item is a pure function of its spec: the device boots from
+    // the shared ROM pages, the session is deterministic in the
+    // spec's seed, and the packed trace streams straight to disk — so
+    // the bytes cannot depend on job count, on which worker ran the
+    // item, or on whether a server ran it.
+    core::Session sess = core::PalmSimulator::collect(spec.config);
+    if (!sessionBase.empty()) {
+        std::string serr;
+        if (!sess.save(sessionBase, &serr))
+            return fail("session", "cannot save session: " + serr);
+    }
+
+    trace::PackedTraceWriter writer(tracePath, blockCapacity);
+    if (!writer.ok())
+        return fail("trace", "cannot open trace " + tracePath);
+    trace::PackedWriterSink sink(writer);
+    core::ReplayConfig cfg;
+    cfg.options.cancel = cancel;
+    cfg.extraRefSink = &sink;
+    core::ReplayResult rr = core::PalmSimulator::replaySession(sess, cfg);
+    if (rr.replayStats.interrupted) {
+        writer.abort();
+        return fail("session", "interrupted");
+    }
+    if (rr.replayStats.optionsRejected) {
+        writer.abort();
+        return fail("replay", "replay options rejected: " +
+                                  rr.replayStats.optionsError);
+    }
+    r.measure.events = writer.count();
+    std::string werr;
+    if (!writer.close(&werr))
+        return fail("trace", "close " + tracePath + ": " + werr);
+    r.measure.traceBytes = writer.bytesWritten();
+    bool fnvOk = false;
+    r.traceFnv = fnvFile(tracePath, &fnvOk);
+    if (!fnvOk)
+        return fail("trace", "trace unreadable after close: " + tracePath);
+    r.measure.ramRefs = rr.refs.ramRefs();
+    r.measure.flashRefs = rr.refs.flashRefs();
+    r.measure.instructions = rr.instructions;
+    r.measure.cycles = rr.cycles;
+    r.ok = true;
+    return r;
+}
+
+std::string
+fleetTracePath(const std::string &outBase, u64 i)
+{
+    return outBase + "-session-" + std::to_string(i) + ".ptpk";
+}
+
+std::string
+fleetCsv(const std::vector<workload::SessionSpec> &specs,
+         const std::string &outBase, const SuperResult &sr,
+         const std::vector<ItemRecord> &prior)
+{
+    // Every row renders from the journal-format blob — skipped and
+    // fresh items, local and served — so a resumed or remote run's CSV
+    // is byte-identical to an uninterrupted local one.
     std::string csv =
         "session,status,trace,events,trace_bytes,ram_refs,flash_refs,"
         "instructions,cycles\n";
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         csv += specs[i].name;
-        const std::vector<u8> &blob =
-            res.super.outcomes[i].blob.empty() && i < prior.size()
-                ? prior[i].blob
-                : res.super.outcomes[i].blob;
         FleetMeasure m;
-        if (res.super.quarantined[i] || !fleetFromBlob(blob, m)) {
+        if (sr.quarantined[i] || !m.fromBlob(settledBlob(sr, prior, i))) {
             csv += ",quarantined,,0,0,0,0,0,0\n";
             continue;
         }
@@ -1092,86 +1097,7 @@ fleetJobCore(const std::vector<workload::SessionSpec> &specs,
         csv += ',' + std::to_string(m.cycles);
         csv += '\n';
     }
-
-    BinWriter w;
-    w.putBytes(csv.data(), csv.size());
-    std::string err;
-    if (!w.writeFile(spec.outPath, &err)) {
-        res.error = "write " + spec.outPath + ": " + err;
-        return res;
-    }
-    res.outFnv = fnv64(csv.data(), csv.size());
-    res.degraded = res.super.itemsQuarantined > 0;
-    footerBestEffort(
-        journal,
-        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-    res.ok = true;
-    return res;
-}
-
-JobResult
-resumeFleetJob(const std::string &journalPath, const JournalData &data,
-               const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = data.spec.outPath;
-
-    std::vector<workload::SessionSpec> specs;
-    FleetOptions fo;
-    if (!deserializeFleetExtra(data.spec.extra, specs, fo) ||
-        specs.size() != data.spec.totalItems) {
-        res.error = "journalled fleet specs are corrupt";
-        return res;
-    }
-    if (fnv64(data.spec.extra.data(), data.spec.extra.size()) !=
-        data.spec.bindFingerprint) {
-        res.error = "journalled fleet specs fail their binding "
-                    "fingerprint";
-        return res;
-    }
-
-    // Skip only items whose journalled trace is still intact on disk
-    // (epoch-style artifact verification): the .ptpk is the product,
-    // not just the row.
-    std::vector<ItemRecord> latest = data.latestPerItem();
-    std::vector<bool> skip(latest.size(), false);
-    for (std::size_t i = 0; i < latest.size(); ++i) {
-        FleetMeasure m;
-        if (latest[i].state != ItemState::Done ||
-            !fleetFromBlob(latest[i].blob, m)) {
-            continue;
-        }
-        bool ok = false;
-        const u64 f = fnvFile(latest[i].artifact, &ok);
-        skip[i] = ok && f == latest[i].artifactFnv;
-    }
-    for (std::size_t i = 0; i < data.spec.totalItems; ++i) {
-        std::remove(
-            (fleetTracePath(data.spec.sessionPath, i) + ".tmp")
-                .c_str());
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
-
-    JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    std::string err;
-    if (journal.openAppend(journalPath, data.validBytes, &err))
-        jptr = &journal;
-
-    JobSpec spec = data.spec;
-    if (jo.jobs)
-        spec.jobs = jo.jobs;
-    return fleetJobCore(specs, fo, spec, jptr, std::move(skip),
-                        latest, jo);
-}
-
-} // namespace
-
-std::string
-fleetTracePath(const std::string &outBase, u64 i)
-{
-    return outBase + "-session-" + std::to_string(i) + ".ptpk";
+    return csv;
 }
 
 JobResult
@@ -1182,31 +1108,16 @@ runFleetJob(const std::vector<workload::SessionSpec> &specs,
     JobResult res;
     res.outPath = outBase + ".csv";
 
-    JobSpec spec;
-    spec.kind = JobKind::Fleet;
+    JobSpec spec =
+        specFor(JobKind::Fleet, res.outPath, specs.size(), jo);
     spec.sessionPath = outBase; ///< per-session trace base
-    spec.outPath = outBase + ".csv";
-    spec.blockCapacity = jo.blockCapacity;
-    spec.totalItems = specs.size();
-    spec.maxAttempts = jo.maxAttempts;
-    spec.deadlineMs = jo.deadlineMs;
-    spec.backoffSeed = jo.backoffSeed;
-    spec.jobs = jo.jobs;
     spec.extra = serializeFleetExtra(specs, fo);
-    // The specs travel inside the journal, so the binding fingerprint
-    // covers them directly (the session-batch scheme).
     spec.bindFingerprint = fnv64(spec.extra.data(), spec.extra.size());
 
     JournalWriter journal;
-    JournalWriter *jptr = nullptr;
-    if (!jo.journalPath.empty()) {
-        std::string err;
-        if (!journal.open(jo.journalPath, spec, &err)) {
-            res.error = "cannot open journal: " + err;
-            return res;
-        }
-        jptr = &journal;
-    }
+    JournalWriter *jptr;
+    if (!openJobJournal(journal, jptr, jo.journalPath, spec, res))
+        return res;
     return fleetJobCore(specs, fo, spec, jptr, {}, {}, jo);
 }
 
@@ -1215,32 +1126,19 @@ resumeJob(const std::string &journalPath, const JobOptions &jo)
 {
     JobResult res;
     JournalData data;
-    if (auto r = loadJournal(journalPath, data); !r) {
-        res.error = "cannot load journal " + journalPath + ": " +
-                    r.message();
+    if (!loadResumable(journalPath, data, res))
         return res;
-    }
-    if (data.hasFooter &&
-        data.footer.status != JobStatus::Interrupted) {
-        // An orderly complete/degraded run: nothing left to resume.
-        res.ok = true;
-        res.nothingToDo = true;
-        res.outPath = data.spec.outPath;
-        res.outFnv = data.footer.outFnv;
-        res.degraded = data.footer.status == JobStatus::Degraded;
-        return res;
-    }
     switch (data.spec.kind) {
       case JobKind::EpochRun:
         return resumeEpochJob(journalPath, data, jo);
       case JobKind::PackedSweep:
         return resumeSweepJob(journalPath, data, jo);
-      case JobKind::SessionBatch:
-        return resumeBatchJob(journalPath, data, jo);
       case JobKind::Fleet:
         return resumeFleetJob(journalPath, data, jo);
       default:
-        res.error = "journal records an unknown job kind";
+        res.error = std::string("journal records a ") +
+                    jobKindName(data.spec.kind) +
+                    " job, which resumeJob does not run";
         return res;
     }
 }

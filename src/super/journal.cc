@@ -37,7 +37,7 @@ jobKindName(JobKind k)
         return "epoch-run";
       case JobKind::PackedSweep:
         return "packed-sweep";
-      case JobKind::SessionBatch:
+      case JobKind::RetiredSessionBatch:
         return "session-batch";
       case JobKind::Fleet:
         return "fleet";

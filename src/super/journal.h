@@ -4,7 +4,7 @@
  * crash-safe batch runs.
  *
  * A supervised job (epoch-parallel replay, packed cache sweep, a
- * batched session replay) appends a record to its journal at every
+ * fleet of sessions) appends a record to its journal at every
  * work-item state transition. The file is strictly append-only and
  * every record is self-framed with an exact length plus an FNV-1a
  * 64-bit checksum (the PR 1 integrity scheme applied per record
@@ -63,7 +63,8 @@ enum class JobKind : u32
     None = 0,
     EpochRun = 1,     ///< epoch-parallel profiled replay
     PackedSweep = 2,  ///< cache sweep over a packed trace
-    SessionBatch = 3, ///< batched synthetic-session replay
+    RetiredSessionBatch = 3, ///< reserved: the retired session-batch
+                             ///< job; its journals load, not resume
     Fleet = 4,        ///< fleet collect+replay to per-session traces
     RemoteFleet = 5,  ///< fleet driven through a `palmtrace serve`
                       ///< server; resumed by the serve client

@@ -6,6 +6,8 @@
  * and division overflow.
  */
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "m68k/codebuilder.h"
@@ -40,13 +42,25 @@ runForD0(const std::function<void(CodeBuilder &)> &emit)
 
 // --- conditions ------------------------------------------------------
 
+// gtest names each case by the raw bytes of its parameter, so the
+// padding is spelled out and zeroed: implicit padding would carry stack
+// garbage and give the same case a different name on every run.
 struct CondCase
 {
+    CondCase(Cond c, u32 l, u32 r, bool t, const char *n)
+        : cond(c), lhs(l), rhs(r), expectTrue(t), name(n)
+    {
+    }
+
     Cond cond;
+    u8 pad0[3] = {};
     u32 lhs, rhs;  // CMP.L #rhs,lhs-in-d1 evaluates d1 - rhs
     bool expectTrue;
+    u8 pad1[3] = {};
     const char *name;
 };
+static_assert(std::has_unique_object_representations_v<CondCase>,
+              "CondCase must have no implicit padding");
 
 class CondSweep : public testing::TestWithParam<CondCase>
 {

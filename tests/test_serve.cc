@@ -10,7 +10,10 @@
  * bounded (Busy backpressure); slow sessions hit their timeout as a
  * structured error; and a drain under load leaves no partial
  * artifacts — finished traces plus a journal a resume completes
- * byte-identically.
+ * byte-identically. The fleet journals both resume paths read (local
+ * Fleet, client-side RemoteFleet) and the sweep journal are mutated
+ * field by field: every mutation resumes to a structured error or to
+ * the byte-identical CSV, never an abort.
  */
 
 #include <cstdio>
@@ -26,6 +29,7 @@
 #include <unistd.h>
 
 #include "base/fdio.h"
+#include "base/fnv.h"
 #include "obs/registry.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -372,6 +376,9 @@ TEST(AdmissionBackpressure, QueueFullEarnsStructuredBusy)
         sub.jobId = jobId;
         sub.blockCapacity = trace::kPackedDefaultBlockCapacity;
         sub.spec = serveSpecs(1)[0];
+        // Long enough that job 1 is still running when the Busy
+        // replies go out: its trace chunks must not overtake them.
+        sub.spec.config.interactions = 8;
         ASSERT_TRUE(
             serve::sendFrame(fd, serve::MsgType::Submit, sub.encode()));
     };
@@ -658,6 +665,168 @@ TEST(ServeProtocol, RemoteFleetJournalIsDetected)
                                             super::JobOptions{});
     EXPECT_TRUE(done.ok);
     EXPECT_TRUE(done.nothingToDo);
+}
+
+/** Writes a journal holding @p spec and @p records, no footer — the
+ *  state a crash leaves. */
+void
+writeJournal(const std::string &path, const super::JobSpec &spec,
+             const std::vector<super::ItemRecord> &records)
+{
+    super::JournalWriter w;
+    ASSERT_TRUE(w.open(path, spec));
+    for (const super::ItemRecord &rec : records)
+        ASSERT_TRUE(w.appendItem(rec));
+}
+
+/** Resumes @p path through the entry point its kind uses. */
+super::JobResult
+resumeAny(const std::string &path, super::JobKind kind)
+{
+    return kind == super::JobKind::RemoteFleet
+               ? serve::resumeRemoteFleetJob(path, "", {})
+               : super::resumeJob(path, {});
+}
+
+void
+putLe32(std::vector<u8> &b, std::size_t at, u32 v)
+{
+    for (int k = 0; k < 4; ++k)
+        b[at + k] = static_cast<u8>(v >> (8 * k));
+}
+
+TEST(JournalExtraMutation, HostileSpecCountIsAStructuredError)
+{
+    // A frame-valid journal whose spec count claims 2^32 - 1 specs
+    // with no bytes behind it: the decoder must refuse before it
+    // allocates, for the remote client and the local fleet alike.
+    super::JobSpec spec;
+    spec.totalItems = 1;
+    for (super::JobKind kind :
+         {super::JobKind::RemoteFleet, super::JobKind::Fleet}) {
+        BinWriter w;
+        if (kind == super::JobKind::RemoteFleet)
+            w.putString(tmpFile("hostile.sock"));
+        else
+            w.put8(0);
+        w.put32(0xFFFFFFFFu);
+        spec.kind = kind;
+        spec.sessionPath = tmpFile("hostile_out");
+        spec.outPath = spec.sessionPath + ".csv";
+        spec.extra = w.takeBytes();
+        spec.bindFingerprint =
+            fnv64(spec.extra.data(), spec.extra.size());
+        const std::string path = tmpFile("hostile.ptjl");
+        writeJournal(path, spec, {});
+
+        auto res = resumeAny(path, kind);
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find("specs.count"), std::string::npos)
+            << super::jobKindName(kind) << ": " << res.error;
+    }
+}
+
+TEST(JournalExtraMutation, EveryKindResumesOrFailsStructurally)
+{
+    // Reference runs: a local fleet (whose first trace doubles as the
+    // sweep's input) and a packed sweep, both journalled.
+    const auto specs = serveSpecs(2);
+    const std::string base = tmpFile("mut_fleet");
+    super::JobOptions jo;
+    jo.jobs = 1;
+    jo.journalPath = tmpFile("mut_fleet.ptjl");
+    auto fleet = super::runFleetJob(specs, base, jo);
+    ASSERT_TRUE(fleet.ok) << fleet.error;
+    const std::vector<u8> fleetCsv = readFileBytes(base + ".csv");
+
+    std::vector<cache::CacheConfig> configs(3);
+    configs[1].assoc = 2;
+    configs[2].lineBytes = 32;
+    const std::string sweepCsv = tmpFile("mut_sweep.csv");
+    jo.journalPath = tmpFile("mut_sweep.ptjl");
+    auto sweep = super::runSweepJob(super::fleetTracePath(base, 0),
+                                    configs, sweepCsv, jo);
+    ASSERT_TRUE(sweep.ok) << sweep.error;
+
+    super::JournalData fleetData, sweepData;
+    ASSERT_TRUE(
+        super::loadJournal(tmpFile("mut_fleet.ptjl"), fleetData).ok());
+    ASSERT_TRUE(
+        super::loadJournal(tmpFile("mut_sweep.ptjl"), sweepData).ok());
+
+    // The remote client resumes the same fleet against a live server:
+    // every item is intact on disk, so nothing is submitted.
+    serve::ServeOptions so;
+    so.socketPath = tmpFile("mut.sock");
+    so.jobs = 1;
+    serve::Server server(so);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    super::JobSpec remoteSpec = fleetData.spec;
+    remoteSpec.kind = super::JobKind::RemoteFleet;
+    remoteSpec.maxAttempts = 1;
+    remoteSpec.extra = super::remoteFleetExtra(so.socketPath, specs);
+
+    struct Kind
+    {
+        super::JobSpec spec;
+        std::vector<super::ItemRecord> records;
+        std::size_t countAt; ///< offset of the u32 count in extra
+        u32 count;
+        std::vector<u8> csv; ///< what an intact resume must rewrite
+    };
+    const std::vector<Kind> kinds = {
+        {fleetData.spec, fleetData.records, 1, 2, fleetCsv},
+        {remoteSpec, fleetData.records, 4 + so.socketPath.size(), 2,
+         fleetCsv},
+        {sweepData.spec, sweepData.records, 0, 3,
+         readFileBytes(sweepCsv)},
+    };
+
+    const std::string path = tmpFile("mut.ptjl");
+    u64 cases = 0;
+    auto check = [&](const Kind &k, std::vector<u8> extra,
+                     const std::string &what) {
+        super::JobSpec spec = k.spec;
+        spec.extra = std::move(extra);
+        // Fleet kinds bind the extra bytes themselves; recompute so
+        // the mutation reaches the decoder instead of the binding.
+        if (spec.kind != super::JobKind::PackedSweep)
+            spec.bindFingerprint =
+                fnv64(spec.extra.data(), spec.extra.size());
+        writeJournal(path, spec, k.records);
+        auto res = resumeAny(path, spec.kind);
+        ++cases;
+        if (res.ok) {
+            EXPECT_EQ(readFileBytes(spec.outPath), k.csv)
+                << super::jobKindName(spec.kind) << " " << what;
+        } else {
+            EXPECT_FALSE(res.error.empty())
+                << super::jobKindName(spec.kind) << " " << what;
+        }
+        return res.ok;
+    };
+
+    for (const Kind &k : kinds) {
+        const std::vector<u8> &extra = k.spec.extra;
+        EXPECT_TRUE(check(k, extra, "intact"));
+        for (std::size_t len = 0; len < extra.size(); ++len) {
+            EXPECT_FALSE(check(k, {extra.begin(), extra.begin() + len},
+                               "cut at " + std::to_string(len)));
+        }
+        for (u32 count : {0u, k.count - 1, k.count + 1, 0xFFFFFFFFu}) {
+            std::vector<u8> mutated = extra;
+            putLe32(mutated, k.countAt, count);
+            EXPECT_FALSE(
+                check(k, mutated, "count " + std::to_string(count)));
+        }
+        for (const Kind &other : kinds) {
+            if (&other != &k)
+                check(k, other.spec.extra, "spliced extra");
+        }
+    }
+    server.stop();
+    EXPECT_GT(cases, 3u * 4u);
 }
 
 } // namespace

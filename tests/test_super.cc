@@ -3,8 +3,9 @@
  * Supervised-job tests: journal round-trip and torn-tail contracts,
  * the supervisor's retry/quarantine/watchdog/cancel behaviors, and
  * the tentpole theorem — a resumed job's output is byte-identical to
- * an uninterrupted run's (epoch-parallel replay, packed cache sweep,
- * batched session replay).
+ * an uninterrupted run's (epoch-parallel replay, packed cache sweep;
+ * the fleet's proof lives in test_fleet.cc) — plus the structured
+ * refusals of journals a resume must not run.
  */
 
 #include <atomic>
@@ -25,6 +26,7 @@
 #include "super/journal.h"
 #include "super/supervisor.h"
 #include "trace/packedtrace.h"
+#include "validate/artifactcheck.h"
 #include "workload/sessionrunner.h"
 #include "workload/usermodel.h"
 
@@ -759,49 +761,82 @@ TEST(SweepJob, ResumeRefusesModifiedTrace)
         << resumed.error;
 }
 
-TEST(SessionBatchJob, ResumedRunIsByteIdentical)
+/** A frame-valid sweep journal over @p trace holding one config. */
+std::string
+sweepJournalWith(const std::string &name, const std::string &trace,
+                 u32 size, u32 line, u32 assoc, u8 policy)
 {
-    std::vector<workload::SessionSpec> specs(2);
-    specs[0].name = "alpha";
-    specs[0].config.seed = 11;
-    specs[0].config.interactions = 3;
-    specs[0].config.meanIdleTicks = 1'500;
-    specs[1].name = "beta";
-    specs[1].config.seed = 12;
-    specs[1].config.interactions = 3;
-    specs[1].config.meanIdleTicks = 1'500;
+    super::JobSpec spec;
+    spec.kind = super::JobKind::PackedSweep;
+    spec.sessionPath = trace;
+    spec.outPath = tmpFile(name + ".csv");
+    spec.totalItems = 1;
+    spec.bindFingerprint = super::fnvFile(trace);
+    BinWriter w;
+    w.put32(1);
+    w.put32(size);
+    w.put32(line);
+    w.put32(assoc);
+    w.put8(policy);
+    spec.extra = w.takeBytes();
+    const std::string path = tmpFile(name + ".ptjl");
+    super::JournalWriter jw;
+    EXPECT_TRUE(jw.open(path, spec));
+    return path;
+}
 
-    const std::string csv = tmpFile("super_batch.csv");
-    const std::string j1 = tmpFile("super_batch.ptjl");
-    super::JobOptions jo;
-    jo.jobs = 2;
-    jo.journalPath = j1;
-    auto full = super::runSessionBatchJob(specs, csv, jo);
-    ASSERT_TRUE(full.ok) << full.error;
-    std::vector<u8> refBytes = readFileBytes(csv);
-    ASSERT_FALSE(refBytes.empty());
+TEST(SweepJob, ResumeRefusesInvalidJournalledConfig)
+{
+    // Run and resume share one input check: a journalled config the
+    // run would have refused is a structured error on resume too,
+    // not an assertion inside the cache model.
+    const std::string trace =
+        writeSyntheticPacked(tmpFile("super_sweep_bad.ptpk"), 200, 3);
+    auto res = super::resumeJob(
+        sweepJournalWith("super_sweep_badline", trace, 1024, 3, 1, 0),
+        super::JobOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("lineBytes"), std::string::npos)
+        << res.error;
 
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(j1, data).ok());
-    const std::string j2 = tmpFile("super_batch_partial.ptjl");
+    // A policy byte outside the enum is refused by the decoder.
+    res = super::resumeJob(
+        sweepJournalWith("super_sweep_badpolicy", trace, 1024, 16, 1, 7),
+        super::JobOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("configs.policy"), std::string::npos)
+        << res.error;
+}
+
+TEST(RetiredJobKind, SessionBatchJournalLoadsButDoesNotResume)
+{
+    // Kind 3 stays reserved so later kinds keep their numbers: its
+    // journals still load and pass fsck, and a resume names the kind
+    // it refuses.
+    super::JobSpec spec;
+    spec.kind = super::JobKind::RetiredSessionBatch;
+    spec.outPath = tmpFile("super_retired.csv");
+    spec.totalItems = 1;
+    spec.extra = {0, 0, 0, 0};
+    const std::string path = tmpFile("super_retired.ptjl");
     {
         super::JournalWriter w;
-        ASSERT_TRUE(w.open(j2, data.spec));
-        for (const auto &rec : data.records) {
-            if (rec.state == super::ItemState::Done && rec.item == 0) {
-                ASSERT_TRUE(w.appendItem(rec));
-                break;
-            }
-        }
+        ASSERT_TRUE(w.open(path, spec));
     }
-    std::remove(csv.c_str());
 
-    auto resumed = super::resumeJob(j2, super::JobOptions{});
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.super.itemsSkipped, 1u);
-    EXPECT_EQ(resumed.super.itemsDone, 1u);
-    EXPECT_EQ(readFileBytes(csv), refBytes);
-    EXPECT_EQ(resumed.outFnv, full.outFnv);
+    super::JournalData data;
+    ASSERT_TRUE(super::loadJournal(path, data).ok());
+    EXPECT_EQ(static_cast<u32>(data.spec.kind), 3u);
+    EXPECT_STREQ(super::jobKindName(data.spec.kind), "session-batch");
+
+    super::registerFsckParser();
+    validate::FsckReport rep = validate::fsckArtifact(path);
+    EXPECT_TRUE(rep.clean()) << rep.summary;
+
+    auto res = super::resumeJob(path, super::JobOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("session-batch"), std::string::npos)
+        << res.error;
 }
 
 } // namespace

@@ -2282,6 +2282,43 @@ fleetSpecs(unsigned count, double scale, u64 seed)
     return specs;
 }
 
+/**
+ * The fleet `fleet` and `submit` share: specs from --count/--scale/
+ * --seed, run locally, or through the server at @p endpoint when it
+ * is nonempty. The artifacts are byte-identical either way, so the
+ * only visible difference is where the sessions ran.
+ */
+int
+runFleetCommand(const char *what, const Args &a, const char *out,
+                const std::string &endpoint)
+{
+    unsigned count = static_cast<unsigned>(
+        std::strtoul(a.value("--count", "8"), nullptr, 0));
+    if (!count)
+        count = 8;
+    double scale = std::atof(a.value("--scale", "1"));
+    if (scale <= 0)
+        scale = 1.0;
+    const u64 seed =
+        std::strtoull(a.value("--seed", "1"), nullptr, 0);
+    const std::vector<workload::SessionSpec> specs =
+        fleetSpecs(count, scale, seed);
+
+    super::JobOptions jo = jobOptionsFrom(a);
+    if (const char *b = a.value("--block")) {
+        jo.blockCapacity =
+            static_cast<u32>(std::strtoul(b, nullptr, 0));
+    }
+    if (!endpoint.empty()) {
+        serve::ClientOptions co;
+        co.endpoint = endpoint;
+        return reportJob(what, serve::runRemoteFleet(specs, out, co, jo));
+    }
+    super::FleetOptions fo;
+    fo.saveSessions = a.has("--save-sessions");
+    return reportJob(what, super::runFleetJob(specs, out, jo, fo));
+}
+
 /** `fleet --out BASE`: fleet-scale batched collect+replay with one
  *  streamed packed trace per session plus a summary CSV. */
 int
@@ -2296,42 +2333,13 @@ cmdFleet(const Args &a)
             "[--journal FILE] [--deadline MS] [--max-retries N]\n");
         return 2;
     }
-    unsigned count = static_cast<unsigned>(
-        std::strtoul(a.value("--count", "8"), nullptr, 0));
-    if (!count)
-        count = 8;
-    double scale = std::atof(a.value("--scale", "1"));
-    if (scale <= 0)
-        scale = 1.0;
-    const u64 seed =
-        std::strtoull(a.value("--seed", "1"), nullptr, 0);
-
-    super::JobOptions jo = jobOptionsFrom(a);
-    if (const char *b = a.value("--block")) {
-        jo.blockCapacity =
-            static_cast<u32>(std::strtoul(b, nullptr, 0));
+    const char *remote = a.value("--remote");
+    if (remote && a.has("--save-sessions")) {
+        std::fprintf(stderr,
+                     "fleet: --save-sessions is ignored with "
+                     "--remote (sessions live server-side)\n");
     }
-    if (const char *remote = a.value("--remote")) {
-        // Route the whole fleet through a resident server. The
-        // artifacts come back byte-identical, so the only visible
-        // difference is where the sessions ran.
-        if (a.has("--save-sessions")) {
-            std::fprintf(stderr,
-                         "fleet: --save-sessions is ignored with "
-                         "--remote (sessions live server-side)\n");
-        }
-        serve::ClientOptions co;
-        co.endpoint = remote;
-        return reportJob(
-            "fleet",
-            serve::runRemoteFleet(fleetSpecs(count, scale, seed), out,
-                                  co, jo));
-    }
-    super::FleetOptions fo;
-    fo.saveSessions = a.has("--save-sessions");
-    return reportJob("fleet",
-                     super::runFleetJob(fleetSpecs(count, scale, seed),
-                                        out, jo, fo));
+    return runFleetCommand("fleet", a, out, remote ? remote : "");
 }
 
 /** The server endpoint named by --socket PATH or --tcp PORT. */
@@ -2360,27 +2368,7 @@ cmdSubmit(const Args &a)
             "[--block N] [--journal FILE]\n");
         return 2;
     }
-    unsigned count = static_cast<unsigned>(
-        std::strtoul(a.value("--count", "8"), nullptr, 0));
-    if (!count)
-        count = 8;
-    double scale = std::atof(a.value("--scale", "1"));
-    if (scale <= 0)
-        scale = 1.0;
-    const u64 seed =
-        std::strtoull(a.value("--seed", "1"), nullptr, 0);
-
-    super::JobOptions jo = jobOptionsFrom(a);
-    if (const char *b = a.value("--block")) {
-        jo.blockCapacity =
-            static_cast<u32>(std::strtoul(b, nullptr, 0));
-    }
-    serve::ClientOptions co;
-    co.endpoint = endpoint;
-    return reportJob(
-        "submit",
-        serve::runRemoteFleet(fleetSpecs(count, scale, seed), out, co,
-                              jo));
+    return runFleetCommand("submit", a, out, endpoint);
 }
 
 /** `serve --socket PATH`: the resident fleet server. Runs until
