@@ -33,7 +33,7 @@ namespace pt::artifact
 inline constexpr u32 kLogMagic = 0x5054414C;        // "PTAL"
 inline constexpr u32 kSnapshotMagic = 0x50545353;   // "PTSS"
 inline constexpr u32 kCheckpointMagic = 0x50544350; // "PTCP"
-inline constexpr u32 kEpochPlanMagic = 0x50455450;  // "PTEP"
+inline constexpr u32 kEpochPlanMagic = 0x50455450;  // "PTEP", retired
 inline constexpr u32 kJournalMagic = 0x4C4A5450;    // "PTJL"
 
 /** The legacy seed-era format version (no length, no checksum). */

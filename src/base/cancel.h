@@ -3,7 +3,7 @@
  * Cooperative cancellation and liveness reporting.
  *
  * Work items running on the thread pool cannot be forcibly killed —
- * a wedged epoch worker would otherwise hang the whole batch. A
+ * a wedged replay would otherwise hang the whole batch. A
  * CancelToken is the contract between a supervised item and its
  * supervisor: the item calls beat() as it makes progress and polls
  * cancelled() at its loop boundaries; the watchdog observes the beat

@@ -12,20 +12,19 @@ namespace
 std::atomic<unsigned> gJobsOverride{0};
 thread_local bool tlOnWorker = false;
 
+} // namespace
+
 unsigned
-envJobs()
+parseJobs(const char *s)
 {
-    const char *s = std::getenv("PT_JOBS");
-    if (!s || !*s)
+    if (!s || *s < '0' || *s > '9')
         return 0;
     char *end = nullptr;
     unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end || v == 0 || v > 1024)
+    if (*end || v == 0 || v > kMaxJobs)
         return 0;
     return static_cast<unsigned>(v);
 }
-
-} // namespace
 
 unsigned
 hardwareJobs()
@@ -39,7 +38,7 @@ defaultJobs()
 {
     if (unsigned o = gJobsOverride.load(std::memory_order_relaxed))
         return o;
-    if (unsigned e = envJobs())
+    if (unsigned e = parseJobs(std::getenv("PT_JOBS")))
         return e;
     return hardwareJobs();
 }

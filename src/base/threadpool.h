@@ -54,6 +54,16 @@ unsigned defaultJobs();
 /** Sets (0 clears) the process-wide --jobs override. */
 void setDefaultJobs(unsigned jobs);
 
+/** The largest worker count parseJobs() accepts. */
+inline constexpr unsigned kMaxJobs = 1024;
+
+/**
+ * Parses a worker count (--jobs N, PT_JOBS): a plain decimal integer
+ * in [1, kMaxJobs]. @return 0 for anything else — null, empty, signs,
+ * trailing junk, zero, or out of range.
+ */
+unsigned parseJobs(const char *s);
+
 /** A fixed-size work-stealing pool. */
 class ThreadPool
 {

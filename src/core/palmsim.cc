@@ -112,8 +112,7 @@ namespace
  * Feeds the timeseries — and an optional cache hierarchy — one
  * classified reference at a time, attributed to the device's current
  * cycle. Only Ram/Flash classes count (the same stream a packed
- * trace carries), so the sequential series matches what the epoch
- * post-stitch pass reconstructs from the stitched trace.
+ * trace carries).
  */
 class TsRefSink final : public device::MemRefSink
 {

@@ -9,7 +9,7 @@
  * The process-wide default follows PT_EXEC_MODE={interp,translate}
  * (overridable with --exec-mode on the CLI) and is sampled when each
  * Cpu is constructed, which is how the switch reaches every layer
- * that builds private devices: replay, epoch workers, benches, tests.
+ * that builds private devices: replay, fleet workers, benches, tests.
  */
 
 #ifndef PT_M68K_EXECMODE_H

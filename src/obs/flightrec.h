@@ -4,7 +4,7 @@
  * recent execution, dumped when something goes wrong.
  *
  * rr's deployability lesson (PAPERS.md) applies to simulators too:
- * rare failures — an epoch divergence, a supervisor watchdog stall, a
+ * rare failures — a supervisor watchdog stall, a quarantined item, a
  * deterministic crash-hook kill — are only debuggable if the run was
  * already recording. Each thread owns a small ring of fixed-size
  * entries (span begin/end markers, executed-PC samples, trace refs,
@@ -15,7 +15,7 @@
  *
  * The dump is a JSON bundle ("palmtrace-flightrec-v1") of the last
  * kCapacity entries per thread, written on the first trigger:
- * EpochDivergence, watchdog stall, quarantine, PT_CRASH_AFTER_ITEMS
+ * watchdog stall, quarantine, PT_CRASH_AFTER_ITEMS
  * (immediately before the deterministic _Exit), or a fatal signal
  * (best-effort: the JSON render allocates, which a signal handler
  * formally must not — acceptable for a crash-path debugging aid).

@@ -95,7 +95,7 @@ ProfileSink *threadProfileSink();
  * RAII thread-local sink override: routes the calling thread's
  * observations into a scope's registry for the object's lifetime,
  * restoring the previous override on destruction. This is how a pool
- * worker isolates one epoch shard's / sweep config's / session's
+ * worker isolates one sweep config's / session's
  * metrics into its MetricScope while other workers keep publishing
  * to their own.
  */

@@ -3,7 +3,7 @@
  * A windowed rate estimator for progress heartbeats.
  *
  * The heartbeat used to project ETA from the lifetime average
- * (delivered / elapsed), which a long warmup or slow first epoch
+ * (delivered / elapsed), which a long warmup or slow first phase
  * skews for the whole run. RateWindow keeps a small ring of
  * (time, position) samples and reports the rate across the window —
  * the slope of the last K observations — so the projection tracks

@@ -45,23 +45,6 @@ fmtNum(double v)
 
 } // namespace
 
-void
-Timeseries::Row::add(const Row &o)
-{
-    cycles += o.cycles;
-    instructions += o.instructions;
-    ifetch += o.ifetch;
-    dread += o.dread;
-    dwrite += o.dwrite;
-    ramRefs += o.ramRefs;
-    flashRefs += o.flashRefs;
-    l1Hits += o.l1Hits;
-    l1Misses += o.l1Misses;
-    l2Hits += o.l2Hits;
-    l2Misses += o.l2Misses;
-    events += o.events;
-}
-
 bool
 Timeseries::Row::zero() const
 {
@@ -173,18 +156,6 @@ Timeseries::noteEvent(u64 cycle)
     const u64 pos =
         dom == Domain::Refs ? (refCursor ? refCursor - 1 : 0) : cycle;
     ++row(pos / width).events;
-}
-
-bool
-Timeseries::merge(const Timeseries &o)
-{
-    if (o.width != width || o.dom != dom)
-        return false;
-    for (const auto &[idx, r] : o.intervals) {
-        if (!r.zero())
-            row(idx).add(r);
-    }
-    return true;
 }
 
 std::string

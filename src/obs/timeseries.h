@@ -16,18 +16,14 @@
  * integer columns emit byte-identical files.
  *
  * Determinism contract (DESIGN.md §14): CPU progress is observed at
- * replay event-meter points, whose (cycle, instruction) pairs are
- * identical in sequential and epoch-parallel runs; each observation's
- * delta is split exactly across the intervals it spans (cycles
- * exactly, instructions by prefix rounding — a pure function of the
- * endpoints, summing exactly to the delta). References are attributed
- * per-ref at their absolute cycle. Per-epoch instances merge by
- * summing per-interval columns; because epoch slices partition the
- * run at shared observation points, the merged integers equal the
- * sequential run's and the emitted series is byte-identical.
+ * the replay's per-event points, a pure function of the session;
+ * each observation's delta is split exactly across the intervals it
+ * spans (cycles exactly, instructions by prefix rounding — a pure
+ * function of the endpoints, summing exactly to the delta).
+ * References are attributed per-ref at their absolute cycle, so two
+ * replays of one session emit byte-identical series.
  *
- * Instances are single-threaded; epoch workers each fill their own
- * and the caller merges them in epoch order.
+ * Instances are single-threaded.
  */
 
 #ifndef PT_OBS_TIMESERIES_H
@@ -80,7 +76,6 @@ class Timeseries
         u64 l2Misses = 0;
         u64 events = 0;
 
-        void add(const Row &o);
         bool zero() const;
     };
 
@@ -97,8 +92,7 @@ class Timeseries
      * point. The first call only sets the baseline; each later call
      * splits the delta since the previous observation exactly across
      * the intervals it spans. Out-of-order or duplicate observations
-     * are zero-delta no-ops (epoch boundaries observe the same point
-     * twice, once from each side).
+     * are zero-delta no-ops.
      */
     void observe(u64 cycles, u64 instructions);
 
@@ -115,20 +109,12 @@ class Timeseries
      */
     void addCache(u64 cycle, int level, bool hit);
 
-    /** Adds cache outcomes directly to interval @p idx (the
-     *  post-stitch partition pass uses this; see DESIGN.md §14). */
+    /** Adds cache outcomes directly to interval @p idx. */
     void addCacheAt(u64 idx, u64 l1Hits, u64 l1Misses, u64 l2Hits,
                     u64 l2Misses);
 
     /** Counts one replay event drained at @p cycle. */
     void noteEvent(u64 cycle);
-
-    /**
-     * Sums @p o's per-interval columns into this series. Both series
-     * must share the interval width and domain (mismatches are
-     * ignored with a false return).
-     */
-    bool merge(const Timeseries &o);
 
     const std::map<u64, Row> &rows() const { return intervals; }
 

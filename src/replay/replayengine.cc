@@ -162,32 +162,6 @@ ReplayOptions::validate() const
     if (recover && recoveryCheckTicks == 0)
         return "recoveryCheckTicks must be nonzero when recover is "
                "set";
-    if (epochHook) {
-        if (epochEveryEvents == 0 && epochEveryCycles == 0 &&
-            epochAtEvents.empty()) {
-            return "an epoch hook needs a capture cadence "
-                   "(epochEveryEvents, epochEveryCycles or "
-                   "epochAtEvents)";
-        }
-        if (burstJitterTicks != 0) {
-            return "an epoch hook cannot be combined with jitter "
-                   "(the jittered schedule is not captured in the "
-                   "epoch checkpoints)";
-        }
-        if (recover) {
-            return "an epoch hook cannot be combined with recovery "
-                   "(rewinds would re-capture passed boundaries)";
-        }
-        if (checkpointOut) {
-            return "an epoch hook cannot be combined with a user "
-                   "checkpoint capture";
-        }
-    }
-    if (stopAtEventIndex != kRunToEnd && recover) {
-        return "a partial slice (stopAtEventIndex) cannot be "
-               "combined with recovery (the final verify needs the "
-               "whole log)";
-    }
     if (timeseries && recover) {
         return "timeseries telemetry cannot be combined with "
                "recovery (rewinds would re-count the rewound "
@@ -366,15 +340,6 @@ ReplayEngine::playFrom(std::size_t startIndex, u16 buttons,
         syncEvents.empty() ? 0 : syncEvents.back().tick;
     u64 delivered = 0;
 
-    // A partial slice stops right after its last event with no settle
-    // phase: the device then holds exactly the state the sequential
-    // replay holds before delivering the next event, which is where
-    // the next epoch's checkpoint was captured.
-    const std::size_t stopAt = static_cast<std::size_t>(
-        std::min<u64>(syncEvents.size(), opts.stopAtEventIndex));
-    const bool partialSlice =
-        opts.stopAtEventIndex != ReplayOptions::kRunToEnd;
-
     // Jitter models the paper's replay bursts: a whole group of
     // events runs slightly behind schedule, then snaps back. The
     // delay is drawn once per burst (events separated by < 100 ticks
@@ -438,48 +403,6 @@ ReplayEngine::playFrom(std::size_t startIndex, u16 buttons,
         f.stats = stats;
         f.tick = dev.ticks();
         return f;
-    };
-
-    // Epoch capture cadence (the scan pass). Captures fire between
-    // events only — at the top of an event's iteration, before any
-    // work for it — so each checkpoint is exactly a slice boundary.
-    u64 nextEpochEvent =
-        opts.epochEveryEvents
-            ? static_cast<u64>(i) + opts.epochEveryEvents
-            : 0;
-    u64 nextEpochCycles =
-        opts.epochEveryCycles ? dev.nowCycles() + opts.epochEveryCycles
-                              : 0;
-    // Cursor into the sorted exact-index boundary list, skipping any
-    // boundaries this slice starts past.
-    std::size_t atEventsCursor = 0;
-    while (atEventsCursor < opts.epochAtEvents.size() &&
-           opts.epochAtEvents[atEventsCursor] <= static_cast<u64>(i)) {
-        ++atEventsCursor;
-    }
-    auto epochDue = [&]() {
-        return (opts.epochEveryEvents &&
-                static_cast<u64>(i) >= nextEpochEvent) ||
-               (opts.epochEveryCycles &&
-                dev.nowCycles() >= nextEpochCycles) ||
-               (atEventsCursor < opts.epochAtEvents.size() &&
-                static_cast<u64>(i) >=
-                    opts.epochAtEvents[atEventsCursor]);
-    };
-    auto fireEpoch = [&]() {
-        PT_TRACE_INSTANT("epoch.capture", "epoch");
-        opts.epochHook(freeze().cp);
-        if (opts.epochEveryEvents) {
-            nextEpochEvent =
-                static_cast<u64>(i) + opts.epochEveryEvents;
-        }
-        if (opts.epochEveryCycles)
-            nextEpochCycles = dev.nowCycles() + opts.epochEveryCycles;
-        while (atEventsCursor < opts.epochAtEvents.size() &&
-               opts.epochAtEvents[atEventsCursor] <=
-                   static_cast<u64>(i)) {
-            ++atEventsCursor;
-        }
     };
 
     auto rewind = [&]() {
@@ -560,7 +483,7 @@ ReplayEngine::playFrom(std::size_t startIndex, u16 buttons,
         recovering ? dev.ticks() + opts.recoveryCheckTicks : 0;
 
     for (;;) {
-        while (i < stopAt) {
+        while (i < syncEvents.size()) {
             if (opts.cancel) {
                 opts.cancel->beat();
                 if (opts.cancel->cancelled()) {
@@ -571,22 +494,12 @@ ReplayEngine::playFrom(std::size_t startIndex, u16 buttons,
 
             const auto &e = syncEvents[i];
 
-            if (opts.eventMeter) {
-                opts.eventMeter(static_cast<u64>(i),
-                                dev.instructionsRetired());
-            }
-
-            // CPU progress observation at the event-meter point: the
-            // first call of a slice only sets the baseline, and a
-            // boundary shared with an adjacent epoch is observed as a
-            // zero-delta duplicate — both by design (DESIGN.md §14).
+            // CPU progress observation: the first call only sets the
+            // baseline (DESIGN.md §14).
             if (opts.timeseries) {
                 opts.timeseries->observe(dev.nowCycles(),
                                          dev.instructionsRetired());
             }
-
-            if (opts.epochHook && epochDue())
-                fireEpoch();
 
             if (recovering && dev.ticks() >= nextCheck) {
                 Divergence d = verify(/*final=*/false);
@@ -678,37 +591,14 @@ ReplayEngine::playFrom(std::size_t startIndex, u16 buttons,
                 delivered % opts.progressEveryEvents == 0) {
                 opts.progress({delivered, syncEvents.size(),
                                dev.ticks(), finalTick,
-                               dev.nowCycles(),
-                               opts.progressEpochId});
+                               dev.nowCycles()});
             }
         }
-
-        if (partialSlice) {
-            // Observe the slice's exit state: the next epoch's first
-            // observation is this exact (cycle, instruction) point,
-            // so the merged series splits cleanly here.
-            if (opts.timeseries) {
-                opts.timeseries->observe(dev.nowCycles(),
-                                         dev.instructionsRetired());
-            }
-            break; // the next epoch's worker continues from here
-        }
-
-        // A trailing capture lands at eventIndex == syncEventCount():
-        // that plan's final epoch delivers nothing and replays only
-        // the settle phase.
-        if (opts.epochHook && epochDue())
-            fireEpoch();
 
         {
             PT_TRACE_SCOPE("replay.settle", "replay");
             dev.runUntilTick(stats.lastEventTick + opts.settleTicks);
             dev.runUntilIdle();
-        }
-
-        if (opts.eventMeter) {
-            opts.eventMeter(syncEvents.size(),
-                            dev.instructionsRetired());
         }
 
         if (opts.timeseries) {

@@ -106,7 +106,6 @@ struct ReplayProgress
     Ticks tick = 0;          ///< current emulated tick
     Ticks finalTick = 0;     ///< tick of the last scheduled event
     u64 cycles = 0;          ///< current emulated cycle counter
-    int epochId = -1;        ///< reporting epoch, -1 outside epoch mode
 };
 
 /** Playback options. */
@@ -163,63 +162,12 @@ struct ReplayOptions
     std::function<void(const ReplayProgress &)> progress;
     u64 progressEveryEvents = 0;
 
-    /** Epoch id stamped into every progress heartbeat (-1 = not an
-     *  epoch-parallel worker). */
-    int progressEpochId = -1;
-
-    /**
-     * When not kRunToEnd, playback stops immediately after delivering
-     * the events below this index: no settle phase runs, so the device
-     * is left in exactly the state a sequential replay holds just
-     * before delivering the event at this index. The epoch runner uses
-     * this to replay one epoch's slice; the next epoch's checkpoint
-     * was captured at that same point.
-     */
-    static constexpr u64 kRunToEnd = ~static_cast<u64>(0);
-    u64 stopAtEventIndex = kRunToEnd;
-
-    /**
-     * Epoch capture hook (the scan pass). When set with a nonzero
-     * cadence, the engine freezes a ReplayCheckpoint whenever the
-     * cadence comes due — always between events, just before the next
-     * delivery — and once more after the final event but before the
-     * settle phase when the cadence is due there (that trailing entry
-     * makes the plan's final epoch empty: it replays only the settle).
-     * Incompatible with jitter, recovery, and checkpointOut.
-     */
-    std::function<void(const ReplayCheckpoint &)> epochHook;
-    u64 epochEveryEvents = 0; ///< capture every K delivered events
-    u64 epochEveryCycles = 0; ///< capture every N emulated cycles
-
-    /**
-     * Exact-index alternative to the every-K cadences: freeze a
-     * checkpoint just before delivering each listed event index
-     * (sorted ascending). An entry equal to the sync-event count
-     * fires after the final delivery, before the settle — the
-     * empty-final-epoch boundary. The scan pass uses this to place
-     * instruction-balanced boundaries computed by a metering replay.
-     */
-    std::vector<u64> epochAtEvents;
-
-    /**
-     * Lightweight per-event meter: invoked at the top of every
-     * event's iteration with (eventIndex, instructions retired so
-     * far), and once after the settle phase with (sync-event count,
-     * final instruction count). Never captures state — the scan pass
-     * pairs a metering replay with a second one that freezes at the
-     * boundaries chosen from the meter's curve.
-     */
-    std::function<void(u64 eventIndex, u64 instructions)> eventMeter;
-
     /**
      * Simulated-time telemetry sink. When set, the engine observes
-     * CPU progress (absolute cycle + instruction counters) at every
-     * event-meter point — the top of each event's iteration, a
-     * partial-slice stop, and the end of the settle phase — and
-     * counts each delivered event at its delivery cycle. These are
-     * exactly the points epoch boundaries share with a sequential
-     * run, which is what makes the emitted series byte-identical
-     * across the two modes (DESIGN.md §14). Not owned.
+     * CPU progress (absolute cycle + instruction counters) at the top
+     * of each event's iteration and at the end of the settle phase,
+     * and counts each delivered event at its delivery cycle
+     * (DESIGN.md §14). Not owned.
      */
     obs::Timeseries *timeseries = nullptr;
 
@@ -279,15 +227,6 @@ class ReplayEngine
      */
     ReplayStats resume(const ReplayCheckpoint &cp,
                        const ReplayOptions &opts = {});
-
-    /** Scheduled synchronous events, including the synthetic key
-     *  releases (the index space of stopAtEventIndex and epoch
-     *  plans). */
-    u64
-    syncEventCount() const
-    {
-        return syncEvents.size();
-    }
 
   private:
     struct SyncEvent

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 
 #include "base/fnv.h"
 #include "obs/hostmem.h"
@@ -97,21 +98,6 @@ specFor(JobKind kind, const std::string &outPath, u64 totalItems,
     spec.backoffSeed = jo.backoffSeed;
     spec.jobs = jo.jobs;
     return spec;
-}
-
-/** The finalize step of every job: output FNV, degraded flag and the
- *  Complete/Degraded footer. */
-JobResult &
-finishJob(JobResult &res, JournalWriter *journal, u64 outFnv)
-{
-    res.outFnv = outFnv;
-    res.degraded = res.super.itemsQuarantined > 0;
-    footerBestEffort(
-        journal,
-        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
-         res.outFnv, res.degraded ? res.super.firstError : ""});
-    res.ok = true;
-    return res;
 }
 
 /** The blob item @p i settled with: this run's outcome, or the
@@ -262,175 +248,14 @@ finishCsv(JobResult &res, JournalWriter *journal, const std::string &csv)
         res.error = "write " + res.outPath + ": " + err;
         return res;
     }
-    return finishJob(res, journal, fnv64(csv.data(), csv.size()));
-}
-
-// ---------------------------------------------------------------------
-// Epoch jobs
-
-namespace
-{
-
-JobResult
-epochJobCore(const core::Session &s, const epoch::EpochPlan &plan,
-             const JobSpec &spec, JournalWriter *journal,
-             std::vector<bool> skip, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = spec.outPath;
-    const std::size_t n = plan.entries.size();
-
-    epoch::RunOptions ro;
-    ro.jobs = 1; // parallelism is the supervisor's fan-out
-    ro.blockCapacity = spec.blockCapacity;
-    ro.progress = jo.progress;
-    ro.progressEveryEvents = jo.progressEveryEvents;
-
-    ItemFn fn = [&](u64 k, CancelToken &tok) -> ItemOutcome {
-        ItemOutcome out;
-        const std::string shard =
-            epoch::shardPath(spec.outPath, k);
-        epoch::EpochAttempt a = epoch::runOneEpoch(
-            s, plan, static_cast<std::size_t>(k), shard, ro, &tok);
-        if (a.interrupted) {
-            out.error = "interrupted";
-            return out;
-        }
-        if (!a.ioOk) {
-            out.error = a.error;
-            return out;
-        }
-        if (!a.verified) {
-            char msg[96];
-            std::snprintf(msg, sizeof(msg),
-                          "fingerprint mismatch (expected "
-                          "0x%016llX, actual 0x%016llX)",
-                          static_cast<unsigned long long>(
-                              plan.expectedFingerprint(
-                                  static_cast<std::size_t>(k))),
-                          static_cast<unsigned long long>(
-                              a.actualFingerprint));
-            out.error = msg;
-            return out;
-        }
-        bool fnvOk = false;
-        out.artifactFnv = fnvFile(shard, &fnvOk);
-        if (!fnvOk) {
-            out.error = "shard unreadable after close: " + shard;
-            return out;
-        }
-        out.ok = true;
-        out.artifact = shard;
-        BinWriter b;
-        b.put64(plan.lastEvent(static_cast<std::size_t>(k)) -
-                plan.firstEvent(static_cast<std::size_t>(k)));
-        b.put64(a.refs);
-        b.put64(a.instructions);
-        b.put64(a.cycles);
-        out.blob = b.takeBytes();
-        return out;
-    };
-
-    res.super = superviseItems(
-        n, fn,
-        superOptionsFor(spec, journal, jo.globalCancel,
-                        jo.backoffBaseMs, std::move(skip)));
-
-    if (handleInterrupt(res, journal))
-        return res; // shards of Done items stay for the resume
-
-    // Quarantined epochs keep their last attempt's shard (the
-    // divergence-degrade contract), so the stitch still covers every
-    // epoch; an epoch whose shard never made it to disk surfaces
-    // here as an unreadable-shard error.
-    epoch::RunOptions sro;
-    sro.jobs = spec.jobs;
-    sro.blockCapacity = spec.blockCapacity;
-    epoch::StitchResult st = stitchShards(spec.outPath, n, sro);
-    if (!st.ok) {
-        // No footer: the Done records stand and a resume retries
-        // the failed stitch.
-        res.error = "stitch failed: " + st.error;
-        return res;
-    }
-    res.refs = st.refs;
-    res.bytesWritten = st.bytesWritten;
-
-    finishJob(res, journal, fnvFile(spec.outPath));
-    if (!jo.keepShards) {
-        for (std::size_t k = 0; k < n; ++k)
-            std::remove(epoch::shardPath(spec.outPath, k).c_str());
-    }
+    res.outFnv = fnv64(csv.data(), csv.size());
+    res.degraded = res.super.itemsQuarantined > 0;
+    footerBestEffort(
+        journal,
+        {res.degraded ? JobStatus::Degraded : JobStatus::Complete,
+         res.outFnv, res.degraded ? res.super.firstError : ""});
+    res.ok = true;
     return res;
-}
-
-JobResult
-resumeEpochJob(const std::string &journalPath, const JournalData &data,
-               const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = data.spec.outPath;
-
-    core::Session s;
-    if (auto r = core::Session::load(data.spec.sessionPath, s); !r) {
-        res.error = "cannot reload session " + data.spec.sessionPath +
-                    ": " + r.message();
-        return res;
-    }
-    epoch::EpochPlan plan;
-    if (auto r = epoch::EpochPlan::load(data.spec.planPath, plan);
-        !r) {
-        res.error = "cannot reload plan " + data.spec.planPath + ": " +
-                    r.message();
-        return res;
-    }
-    if (!bindingHolds(data.spec, plan.logFingerprint,
-                      "the plan at " + data.spec.planPath, res)) {
-        return res;
-    }
-    if (std::string err = epoch::validatePlan(s, plan); !err.empty()) {
-        res.error = err;
-        return res;
-    }
-    if (plan.entries.size() != data.spec.totalItems) {
-        res.error = "the plan's epoch count changed since the "
-                    "journal was written";
-        return res;
-    }
-
-    ResumeState rs;
-    beginResume(rs, journalPath, data, jo, nullptr, [&](u64 k) {
-        return epoch::shardPath(data.spec.outPath, k);
-    });
-    return epochJobCore(s, plan, rs.spec, rs.jptr, std::move(rs.skip),
-                        jo);
-}
-
-} // namespace
-
-JobResult
-runEpochJob(const core::Session &s, const std::string &sessionPath,
-            const epoch::EpochPlan &plan, const std::string &planPath,
-            const std::string &outPath, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = outPath;
-    if (std::string err = epoch::validatePlan(s, plan); !err.empty()) {
-        res.error = err;
-        return res;
-    }
-
-    JobSpec spec =
-        specFor(JobKind::EpochRun, outPath, plan.entries.size(), jo);
-    spec.sessionPath = sessionPath;
-    spec.planPath = planPath;
-    spec.bindFingerprint = plan.logFingerprint;
-
-    JournalWriter journal;
-    JournalWriter *jptr;
-    if (!openJobJournal(journal, jptr, jo.journalPath, spec, res))
-        return res;
-    return epochJobCore(s, plan, spec, jptr, {}, jo);
 }
 
 // ---------------------------------------------------------------------
@@ -1129,8 +954,6 @@ resumeJob(const std::string &journalPath, const JobOptions &jo)
     if (!loadResumable(journalPath, data, res))
         return res;
     switch (data.spec.kind) {
-      case JobKind::EpochRun:
-        return resumeEpochJob(journalPath, data, jo);
       case JobKind::PackedSweep:
         return resumeSweepJob(journalPath, data, jo);
       case JobKind::Fleet:

@@ -3,11 +3,6 @@
  * Supervised-job adapters: the batch pipelines wrapped in crash-safe,
  * resumable, deadline-guarded execution.
  *
- *  - runEpochJob(): epoch-parallel profiled replay. Items are the
- *    plan's epochs; each produces a PTPK shard, the stitcher merges
- *    them into the final trace. Because every shard is a pure
- *    function of (session, plan, epoch, blockCapacity), a resumed
- *    run's stitched output is byte-identical to an uninterrupted one.
  *  - runSweepJob(): cache sweep over a packed trace. Items are the
  *    cache configurations; results land in a CSV written atomically
  *    at the end, rows rendered from journalled per-item stats so a
@@ -39,14 +34,13 @@
 #ifndef PT_SUPER_JOBS_H
 #define PT_SUPER_JOBS_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "core/palmsim.h"
-#include "epoch/epochrunner.h"
 #include "super/supervisor.h"
+#include "trace/packedtrace.h"
 #include "workload/sessionrunner.h"
 
 namespace pt::super
@@ -63,9 +57,6 @@ struct JobOptions
     u64 backoffSeed = 1;
     std::string journalPath; ///< empty = run unjournalled
     CancelToken *globalCancel = nullptr;
-    bool keepShards = false; ///< epoch jobs: keep per-epoch shards
-    std::function<void(const replay::ReplayProgress &)> progress;
-    u64 progressEveryEvents = 0;
 };
 
 /** What a supervised job produced. */
@@ -78,24 +69,11 @@ struct JobResult
     std::string error;
     std::string outPath;
     u64 outFnv = 0;       ///< FNV-64 of the finished output
-    u64 refs = 0;         ///< epoch jobs: stitched record count
-    u64 bytesWritten = 0; ///< epoch jobs: stitched file size
     SuperResult super;    ///< the underlying supervision counters
 };
 
 /** FNV-64 of a whole file; @p okOut (when given) reports readability. */
 u64 fnvFile(const std::string &path, bool *okOut = nullptr);
-
-/**
- * Epoch-parallel profiled replay under supervision. @p sessionPath
- * and @p planPath are recorded in the journal so a resume can reload
- * the inputs; they may be empty when no journal is attached.
- */
-JobResult runEpochJob(const core::Session &s,
-                      const std::string &sessionPath,
-                      const epoch::EpochPlan &plan,
-                      const std::string &planPath,
-                      const std::string &outPath, const JobOptions &jo);
 
 /** Per-configuration cache sweep of a packed trace, CSV output. */
 JobResult runSweepJob(const std::string &tracePath,

@@ -33,7 +33,7 @@ jobKindName(JobKind k)
     switch (k) {
       case JobKind::None:
         return "none";
-      case JobKind::EpochRun:
+      case JobKind::RetiredEpochRun:
         return "epoch-run";
       case JobKind::PackedSweep:
         return "packed-sweep";
@@ -88,7 +88,7 @@ JobSpec::serialize() const
     BinWriter w;
     w.put32(static_cast<u32>(kind));
     w.putString(sessionPath);
-    w.putString(planPath);
+    w.putString({}); // the retired epoch run's plan path
     w.putString(outPath);
     w.put32(blockCapacity);
     w.put64(totalItems);
@@ -113,7 +113,7 @@ JobSpec::deserialize(BinReader &r, JobSpec &out)
     }
     out.kind = static_cast<JobKind>(kind);
     out.sessionPath = r.getString();
-    out.planPath = r.getString();
+    r.getString(); // the retired epoch run's plan path
     out.outPath = r.getString();
     out.blockCapacity = r.get32();
     out.totalItems = r.get64();

@@ -3,8 +3,8 @@
  * The write-ahead job journal ("PTJL") — the persistence half of
  * crash-safe batch runs.
  *
- * A supervised job (epoch-parallel replay, packed cache sweep, a
- * fleet of sessions) appends a record to its journal at every
+ * A supervised job (a packed cache sweep, a local or remote fleet
+ * of sessions) appends a record to its journal at every
  * work-item state transition. The file is strictly append-only and
  * every record is self-framed with an exact length plus an FNV-1a
  * 64-bit checksum (the PR 1 integrity scheme applied per record
@@ -61,7 +61,8 @@ inline constexpr std::size_t kJournalRecordHeaderBytes = 24;
 enum class JobKind : u32
 {
     None = 0,
-    EpochRun = 1,     ///< epoch-parallel profiled replay
+    RetiredEpochRun = 1, ///< reserved: the retired epoch-parallel
+                         ///< replay; its journals load, not resume
     PackedSweep = 2,  ///< cache sweep over a packed trace
     RetiredSessionBatch = 3, ///< reserved: the retired session-batch
                              ///< job; its journals load, not resume
@@ -101,9 +102,8 @@ const char *jobStatusName(JobStatus s);
 struct JobSpec
 {
     JobKind kind = JobKind::None;
-    std::string sessionPath; ///< session base path (epoch/batch)
-    std::string planPath;    ///< epoch plan path (epoch runs)
-    std::string outPath;     ///< final artifact (trace or CSV)
+    std::string sessionPath; ///< sweep: input trace; fleets: trace base
+    std::string outPath;     ///< the final CSV
     u32 blockCapacity = 0;
     u64 totalItems = 0;
     u32 maxAttempts = 3;

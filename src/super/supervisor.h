@@ -4,8 +4,8 @@
  * execution of a batch of independent work items over the thread
  * pool.
  *
- * The three long-running pipelines (epoch-parallel replay, packed
- * cache sweeps, batched session replay) share one failure shape: N
+ * The long-running pipelines (packed cache sweeps, local and remote
+ * fleets of session replays) share one failure shape: N
  * independent items, any of which can fail transiently (I/O fault),
  * wedge (a stalled worker), or fail persistently. superviseItems()
  * wraps that shape once:
@@ -28,7 +28,7 @@
  *
  * Determinism: the supervisor decides only *whether* an item runs,
  * never what it computes — items are pure functions of their inputs
- * (see epoch::runOneEpoch), so any mix of first runs, retries, and
+ * (see runFleetItem), so any mix of first runs, retries, and
  * resumed runs yields byte-identical artifacts.
  */
 
@@ -89,7 +89,9 @@ struct SuperResult
     u64 watchdogFires = 0;
     u64 journalWriteFailures = 0;
     std::vector<ItemOutcome> outcomes; ///< final outcome per item
-    std::vector<bool> quarantined;     ///< per item
+    /** Per item. Bytes, not vector<bool>: workers set distinct
+     *  items concurrently, and packed bits would share a word. */
+    std::vector<u8> quarantined;
     std::string firstError;
 
     /** Degraded = finished, but around quarantined items. */

@@ -143,17 +143,6 @@ struct PackedBlockInfo
 };
 
 /**
- * Encodes one block's payload (meta tokens + chain streams) exactly
- * as PackedTraceWriter does internally, replacing @p out. All chain
- * state restarts at every block boundary, so payloads for different
- * blocks are independent and can be produced concurrently, then
- * appended in order with PackedTraceWriter::addEncodedBlock() — the
- * epoch stitcher's parallel re-encode path.
- */
-void encodePackedBlockPayload(const TraceRecord *recs, std::size_t n,
-                              std::vector<u8> &out);
-
-/**
  * Streams classified references into a PTPK file with O(block)
  * memory. The file is written to a temporary sibling and renamed
  * into place by close(), so a crash mid-write never leaves a torn
@@ -179,16 +168,6 @@ class PackedTraceWriter
     void add(Addr addr, u8 kind, u8 cls);
 
     void add(const TraceRecord &r) { add(r.addr, r.kind, r.cls); }
-
-    /**
-     * Appends one pre-encoded block (payload built by
-     * encodePackedBlockPayload). Never mix with add(): byte-identity
-     * with an add()-built file additionally requires the sequential
-     * writer's discipline — every block holds exactly blockCapacity
-     * records except possibly the last.
-     */
-    void addEncodedBlock(u32 count, const u8 *payload,
-                         std::size_t len);
 
     /** Records appended so far. */
     u64 count() const { return total; }

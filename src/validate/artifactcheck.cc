@@ -54,6 +54,11 @@ parsePayload(u32 magic, const std::vector<u8> &bytes)
         device::Checkpoint cp;
         return device::Checkpoint::deserialize(bytes, cp);
       }
+      case artifact::kEpochPlanMagic:
+        return LoadResult::fail(0, "magic",
+                                "epoch plans belong to the retired "
+                                "epoch-parallel replay; no command "
+                                "reads them any more");
       default: {
         auto it = extraParsers().find(magic);
         if (it != extraParsers().end())

@@ -49,9 +49,9 @@ using PayloadParser = LoadResult (*)(const std::vector<u8> &file);
 
 /**
  * Registers the structural parser for @p magic. Artifact formats
- * defined in layers above pt_validate (the epoch plan, the job
- * journal) hook their deserializers in here so fsck can fully parse
- * them; re-registering a magic replaces its parser. Formats that
+ * defined in layers above pt_validate (the job journal) hook their
+ * deserializers in here so fsck can fully parse them;
+ * re-registering a magic replaces its parser. Formats that
  * verify their own integrity framing during parse (rather than the
  * common whole-file artifact frame) pass @p selfChecksummed so fsck
  * reports them as checksum-verified instead of legacy.

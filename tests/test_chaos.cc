@@ -6,15 +6,16 @@
  * (quarantine), or a resumable journal state. Never a hang, never a
  * crash, never a silently wrong artifact.
  *
- * Three layers, ~208 schedules total:
+ * Three layers, 208 schedules total:
  *  - 100 supervisor schedules: file-writing items under seeded I/O
  *    faults (failed and torn atomic writes, including on the journal
  *    itself) plus seeded worker misbehaviour (throws, bad_alloc,
  *    heartbeat stalls caught by the watchdog, plain failures).
  *  - 100 packed-sweep job schedules under seeded I/O faults, each
  *    checked against a fault-free reference CSV after resume.
- *  - 8 epoch-replay job schedules under seeded I/O faults, each
- *    checked byte-identical against a fault-free reference trace.
+ *  - 8 fleet job schedules under seeded I/O faults, each checked
+ *    byte-identical against a fault-free reference fleet (the CSV
+ *    and every per-session trace) after resume.
  */
 
 #include <atomic>
@@ -27,14 +28,12 @@
 #include "base/binio.h"
 #include "base/iohooks.h"
 #include "cache/cache.h"
-#include "core/palmsim.h"
-#include "epoch/epochrunner.h"
 #include "fault/chaos.h"
 #include "super/jobs.h"
 #include "super/journal.h"
 #include "super/supervisor.h"
 #include "trace/packedtrace.h"
-#include "workload/usermodel.h"
+#include "workload/sessionrunner.h"
 
 namespace pt
 {
@@ -338,46 +337,62 @@ TEST(ChaosHarness, SweepJobSchedulesEndCleanDegradedOrResumable)
 }
 
 // ---------------------------------------------------------------------
-// Layer 3: epoch-replay job schedules
+// Layer 3: fleet job schedules
 
-TEST(ChaosHarness, EpochJobSchedulesResumeByteIdentical)
+std::vector<workload::SessionSpec>
+chaosFleetSpecs()
 {
-    workload::UserModelConfig cfg;
-    cfg.seed = 21;
-    cfg.interactions = 3;
-    cfg.meanIdleTicks = 1'000;
-    core::Session s = core::PalmSimulator::collect(cfg);
-    const std::string sessionBase = tmpFile("chaos_epoch_session");
-    ASSERT_TRUE(s.save(sessionBase));
+    std::vector<workload::SessionSpec> specs(3);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].name = "chaos-" + std::to_string(i);
+        specs[i].config.seed = 21 + i;
+        specs[i].config.interactions = 2;
+        specs[i].config.meanIdleTicks = 1'000;
+    }
+    return specs;
+}
 
-    epoch::ScanOptions so;
-    so.epochs = 4;
-    auto scan = epoch::scanSession(s, so);
-    ASSERT_TRUE(scan.ok) << scan.error;
-    const std::string planPath = tmpFile("chaos_epoch_plan.ptep");
-    ASSERT_TRUE(scan.plan.save(planPath));
+/** A fleet's artifacts: its CSV, with the output base replaced by a
+ *  fixed token (the CSV names each trace by path), then every
+ *  per-session trace. */
+std::vector<std::vector<u8>>
+fleetArtifacts(const std::string &base, std::size_t sessions)
+{
+    std::vector<std::vector<u8>> out;
+    std::vector<u8> csv = readFileBytes(base + ".csv");
+    std::string text(csv.begin(), csv.end());
+    for (std::size_t at = 0;
+         (at = text.find(base, at)) != std::string::npos;)
+        text.replace(at, base.size(), "BASE");
+    out.emplace_back(text.begin(), text.end());
+    for (std::size_t i = 0; i < sessions; ++i)
+        out.push_back(readFileBytes(super::fleetTracePath(base, i)));
+    return out;
+}
 
-    // Fault-free reference trace.
-    const std::string refOut = tmpFile("chaos_epoch_ref.ptpk");
+TEST(ChaosHarness, FleetJobSchedulesResumeByteIdentical)
+{
+    const auto specs = chaosFleetSpecs();
+
+    // Fault-free reference fleet.
+    const std::string refBase = tmpFile("chaos_fleet_ref");
     {
         super::JobOptions jo;
         jo.jobs = 2;
-        auto ref = super::runEpochJob(s, sessionBase, scan.plan,
-                                      planPath, refOut, jo);
+        auto ref = super::runFleetJob(specs, refBase, jo);
         ASSERT_TRUE(ref.ok) << ref.error;
     }
-    const std::vector<u8> refBytes = readFileBytes(refOut);
-    ASSERT_FALSE(refBytes.empty());
+    const auto refBytes = fleetArtifacts(refBase, specs.size());
+    for (const auto &bytes : refBytes)
+        ASSERT_FALSE(bytes.empty());
 
     constexpr u64 kSchedules = 8;
+    u64 clean = 0, resumed = 0;
     for (u64 schedule = 0; schedule < kSchedules; ++schedule) {
         SCOPED_TRACE("schedule " + std::to_string(schedule));
-        const std::string out =
-            tmpFile("chaos_epoch_" + std::to_string(schedule) +
-                    ".ptpk");
-        const std::string journalPath =
-            tmpFile("chaos_epoch_" + std::to_string(schedule) +
-                    ".ptjl");
+        const std::string base =
+            tmpFile("chaos_fleet_" + std::to_string(schedule));
+        const std::string journalPath = base + ".ptjl";
 
         fault::IoFaultScript io;
         io.seedRandom(schedule * 104'729 + 3, /*faultPerMille=*/25,
@@ -392,12 +407,12 @@ TEST(ChaosHarness, EpochJobSchedulesResumeByteIdentical)
         super::JobResult full;
         {
             FaultScope scope(&io);
-            full = super::runEpochJob(s, sessionBase, scan.plan,
-                                      planPath, out, jo);
+            full = super::runFleetJob(specs, base, jo);
         }
 
         if (full.ok && !full.degraded) {
-            EXPECT_EQ(readFileBytes(out), refBytes);
+            EXPECT_EQ(fleetArtifacts(base, specs.size()), refBytes);
+            ++clean;
             continue;
         }
         // Anything else must leave a resumable (or finalized)
@@ -409,9 +424,12 @@ TEST(ChaosHarness, EpochJobSchedulesResumeByteIdentical)
         auto r2 = super::resumeJob(journalPath, super::JobOptions{});
         EXPECT_TRUE(r2.ok || r2.nothingToDo) << r2.error;
         if (r2.ok && !r2.degraded && !r2.nothingToDo) {
-            EXPECT_EQ(readFileBytes(out), refBytes);
+            EXPECT_EQ(fleetArtifacts(base, specs.size()), refBytes);
+            ++resumed;
         }
     }
+    EXPECT_GT(clean + resumed, 0u)
+        << "no schedule reached a checkable fleet";
 }
 
 } // namespace

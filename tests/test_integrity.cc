@@ -408,6 +408,22 @@ TEST(IntegrityFsck, CorruptAndMissingFilesFail)
     std::remove(junk.c_str());
 }
 
+TEST(IntegrityFsck, RetiredEpochPlanIsAStructuredError)
+{
+    // Epoch plans ("PTEP") are still recognized by magic, so a file
+    // left behind by an older build is named and refused, not parsed.
+    std::string path = testing::TempDir() + "/pt_fsck_retired.ptep";
+    writeRaw(path, artifact::frame(artifact::kEpochPlanMagic,
+                                   {1, 2, 3, 4, 5, 6, 7, 8}));
+    validate::FsckReport rep = validate::fsckArtifact(path);
+    EXPECT_FALSE(rep.clean());
+    EXPECT_EQ(rep.kind, "epoch plan");
+    EXPECT_EQ(rep.result.error().field, "magic");
+    EXPECT_NE(rep.summary.find("retired"), std::string::npos)
+        << rep.summary;
+    std::remove(path.c_str());
+}
+
 TEST(IntegrityFault, SeededPlansAreDeterministic)
 {
     auto bytes = sampleLog().serialize();

@@ -3,9 +3,9 @@
  * Supervised-job tests: journal round-trip and torn-tail contracts,
  * the supervisor's retry/quarantine/watchdog/cancel behaviors, and
  * the tentpole theorem — a resumed job's output is byte-identical to
- * an uninterrupted run's (epoch-parallel replay, packed cache sweep;
- * the fleet's proof lives in test_fleet.cc) — plus the structured
- * refusals of journals a resume must not run.
+ * an uninterrupted run's (packed cache sweep; the fleet's proof
+ * lives in test_fleet.cc) — plus the structured refusals of journals
+ * a resume must not run.
  */
 
 #include <atomic>
@@ -20,15 +20,11 @@
 
 #include "base/fnv.h"
 #include "cache/cache.h"
-#include "core/palmsim.h"
-#include "epoch/epochrunner.h"
 #include "super/jobs.h"
 #include "super/journal.h"
 #include "super/supervisor.h"
 #include "trace/packedtrace.h"
 #include "validate/artifactcheck.h"
-#include "workload/sessionrunner.h"
-#include "workload/usermodel.h"
 
 namespace pt
 {
@@ -541,120 +537,6 @@ TEST(Supervisor, JournalFailureDoesNotFailTheJob)
 // ---------------------------------------------------------------------
 // Supervised jobs: resume is byte-identical
 
-class EpochJobTest : public ::testing::Test
-{
-  protected:
-    static void
-    SetUpTestSuite()
-    {
-        workload::UserModelConfig cfg;
-        cfg.seed = 7;
-        cfg.interactions = 4;
-        cfg.meanIdleTicks = 2'000;
-        session = new core::Session(core::PalmSimulator::collect(cfg));
-        sessionBase = tmpFile("super_session");
-        ASSERT_TRUE(session->save(sessionBase));
-
-        epoch::ScanOptions so;
-        so.epochs = 3;
-        auto scan = epoch::scanSession(*session, so);
-        ASSERT_TRUE(scan.ok) << scan.error;
-        plan = new epoch::EpochPlan(scan.plan);
-        planPath = tmpFile("super_plan.ptep");
-        ASSERT_TRUE(plan->save(planPath));
-    }
-
-    static void
-    TearDownTestSuite()
-    {
-        delete session;
-        session = nullptr;
-        delete plan;
-        plan = nullptr;
-    }
-
-    static core::Session *session;
-    static epoch::EpochPlan *plan;
-    static std::string sessionBase;
-    static std::string planPath;
-};
-
-core::Session *EpochJobTest::session = nullptr;
-epoch::EpochPlan *EpochJobTest::plan = nullptr;
-std::string EpochJobTest::sessionBase;
-std::string EpochJobTest::planPath;
-
-TEST_F(EpochJobTest, ResumedRunIsByteIdentical)
-{
-    const std::string out = tmpFile("super_epoch.ptpk");
-    const std::string j1 = tmpFile("super_epoch_full.ptjl");
-
-    super::JobOptions jo;
-    jo.jobs = 2;
-    jo.journalPath = j1;
-    jo.keepShards = true; // leave shards for the crafted resume
-    auto full = super::runEpochJob(*session, sessionBase, *plan,
-                                   planPath, out, jo);
-    ASSERT_TRUE(full.ok) << full.error;
-    EXPECT_GT(full.refs, 0u);
-    std::vector<u8> refBytes = readFileBytes(out);
-    ASSERT_FALSE(refBytes.empty());
-
-    // Craft the journal a crash after two Done items would leave:
-    // same spec, the first two Done records, no footer.
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(j1, data).ok());
-    ASSERT_GE(data.spec.totalItems, 3u);
-    const std::string j2 = tmpFile("super_epoch_partial.ptjl");
-    {
-        super::JournalWriter w;
-        ASSERT_TRUE(w.open(j2, data.spec));
-        for (const auto &rec : data.records) {
-            if (rec.state == super::ItemState::Done && rec.item < 2) {
-                ASSERT_TRUE(w.appendItem(rec));
-            }
-        }
-    }
-    std::remove(out.c_str());
-
-    auto resumed = super::resumeJob(j2, super::JobOptions{});
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.super.itemsSkipped, 2u);
-    EXPECT_EQ(resumed.super.itemsDone, data.spec.totalItems - 2);
-    EXPECT_EQ(readFileBytes(out), refBytes);
-    EXPECT_EQ(resumed.outFnv, full.outFnv);
-
-    // The finalized journal reports nothing to do.
-    auto done = super::resumeJob(j1, super::JobOptions{});
-    EXPECT_TRUE(done.ok);
-    EXPECT_TRUE(done.nothingToDo);
-    EXPECT_EQ(done.outFnv, full.outFnv);
-}
-
-TEST_F(EpochJobTest, ResumeRefusesSwappedInputs)
-{
-    const std::string out = tmpFile("super_epoch_bind.ptpk");
-    const std::string j1 = tmpFile("super_epoch_bind.ptjl");
-    super::JobOptions jo;
-    jo.jobs = 1;
-    jo.journalPath = j1;
-    auto full = super::runEpochJob(*session, sessionBase, *plan,
-                                   planPath, out, jo);
-    ASSERT_TRUE(full.ok) << full.error;
-
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(j1, data).ok());
-    data.spec.bindFingerprint ^= 1; // "different plan"
-    const std::string j2 = tmpFile("super_epoch_bind2.ptjl");
-    {
-        super::JournalWriter w;
-        ASSERT_TRUE(w.open(j2, data.spec));
-    }
-    auto resumed = super::resumeJob(j2, super::JobOptions{});
-    EXPECT_FALSE(resumed.ok);
-    EXPECT_FALSE(resumed.error.empty());
-}
-
 std::string
 writeSyntheticPacked(const std::string &path, u64 records, u64 seed)
 {
@@ -808,35 +690,48 @@ TEST(SweepJob, ResumeRefusesInvalidJournalledConfig)
         << res.error;
 }
 
-TEST(RetiredJobKind, SessionBatchJournalLoadsButDoesNotResume)
+TEST(RetiredJobKind, JournalsLoadButDoNotResume)
 {
-    // Kind 3 stays reserved so later kinds keep their numbers: its
-    // journals still load and pass fsck, and a resume names the kind
-    // it refuses.
-    super::JobSpec spec;
-    spec.kind = super::JobKind::RetiredSessionBatch;
-    spec.outPath = tmpFile("super_retired.csv");
-    spec.totalItems = 1;
-    spec.extra = {0, 0, 0, 0};
-    const std::string path = tmpFile("super_retired.ptjl");
+    // Kinds 1 and 3 stay reserved so later kinds keep their numbers:
+    // their journals still load and pass fsck, and a resume names the
+    // kind it refuses.
+    const struct
     {
-        super::JournalWriter w;
-        ASSERT_TRUE(w.open(path, spec));
-    }
-
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(path, data).ok());
-    EXPECT_EQ(static_cast<u32>(data.spec.kind), 3u);
-    EXPECT_STREQ(super::jobKindName(data.spec.kind), "session-batch");
-
+        super::JobKind kind;
+        u32 number;
+        const char *name;
+    } retired[] = {
+        {super::JobKind::RetiredEpochRun, 1, "epoch-run"},
+        {super::JobKind::RetiredSessionBatch, 3, "session-batch"},
+    };
     super::registerFsckParser();
-    validate::FsckReport rep = validate::fsckArtifact(path);
-    EXPECT_TRUE(rep.clean()) << rep.summary;
+    for (const auto &r : retired) {
+        SCOPED_TRACE(r.name);
+        super::JobSpec spec;
+        spec.kind = r.kind;
+        spec.outPath = tmpFile(std::string("super_retired_") + r.name);
+        spec.totalItems = 1;
+        spec.extra = {0, 0, 0, 0};
+        const std::string path =
+            tmpFile(std::string("super_retired_") + r.name + ".ptjl");
+        {
+            super::JournalWriter w;
+            ASSERT_TRUE(w.open(path, spec));
+        }
 
-    auto res = super::resumeJob(path, super::JobOptions{});
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("session-batch"), std::string::npos)
-        << res.error;
+        super::JournalData data;
+        ASSERT_TRUE(super::loadJournal(path, data).ok());
+        EXPECT_EQ(static_cast<u32>(data.spec.kind), r.number);
+        EXPECT_STREQ(super::jobKindName(data.spec.kind), r.name);
+
+        validate::FsckReport rep = validate::fsckArtifact(path);
+        EXPECT_TRUE(rep.clean()) << rep.summary;
+
+        auto res = super::resumeJob(path, super::JobOptions{});
+        EXPECT_FALSE(res.ok);
+        EXPECT_NE(res.error.find(r.name), std::string::npos)
+            << res.error;
+    }
 }
 
 } // namespace

@@ -236,6 +236,22 @@ TEST(ThreadPoolDefaults, HardwareAndOverride)
     EXPECT_EQ(defaultJobs(), before);
 }
 
+TEST(ThreadPoolDefaults, ParseJobsAcceptsOnlyInRangeIntegers)
+{
+    // The one parser behind --jobs and PT_JOBS: 0 means "rejected".
+    const struct
+    {
+        const char *text;
+        unsigned want;
+    } cases[] = {
+        {"8", 8},    {"1024", 1024}, {"0", 0},  {"-1", 0},
+        {"1025", 0}, {"abc", 0},     {"8x", 0}, {"", 0},
+    };
+    for (const auto &c : cases)
+        EXPECT_EQ(parseJobs(c.text), c.want) << '"' << c.text << '"';
+    EXPECT_EQ(parseJobs(nullptr), 0u);
+}
+
 TEST(ThreadPoolDefaults, SharedPoolFollowsDefault)
 {
     setDefaultJobs(2);

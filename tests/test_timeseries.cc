@@ -1,10 +1,8 @@
 /**
  * @file
  * Simulated-time telemetry tests: the interval sampler's exact-split
- * and merge algebra, the refs-domain variant, the RateWindow behind
- * the heartbeat's windowed rates, scoped-metric merge semantics, and
- * the subsystem's theorem — the epoch-parallel merged series is
- * byte-identical to the sequential series at every job count.
+ * algebra, the refs-domain variant, the RateWindow behind the
+ * heartbeat's windowed rates, and scoped-metric merge semantics.
  */
 
 #include <cstdio>
@@ -13,12 +11,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/palmsim.h"
-#include "epoch/epochrunner.h"
 #include "obs/ratewindow.h"
 #include "obs/registry.h"
 #include "obs/timeseries.h"
-#include "workload/usermodel.h"
 
 namespace pt
 {
@@ -27,15 +22,6 @@ namespace
 
 using obs::Timeseries;
 using obs::TsRef;
-
-u64
-totalCycles(const Timeseries &ts)
-{
-    u64 n = 0;
-    for (const auto &[idx, row] : ts.rows())
-        n += row.cycles;
-    return n;
-}
 
 u64
 totalInstructions(const Timeseries &ts)
@@ -67,31 +53,6 @@ TEST(Timeseries, DeltaSplitsExactlyAcrossIntervals)
     EXPECT_EQ(ts.rows().at(2).cycles, 50u);
     // Instructions sum exactly to the delta whatever the rounding.
     EXPECT_EQ(totalInstructions(ts), 10u);
-}
-
-TEST(Timeseries, SharedObservationPointsMakeMergeExact)
-{
-    // The determinism contract: sequential and epoch-parallel runs
-    // observe the SAME (cycle, instruction) points — the epoch
-    // boundary is itself an observation point, seen once from each
-    // side. A series observing every point must equal the merge of
-    // two series that split the point sequence at a shared boundary.
-    const u64 pts[][2] = {{0, 0},     {180, 41},  {437, 151},
-                          {441, 151}, {700, 230}, {1000, 333}};
-    Timeseries whole(64);
-    for (const auto &p : pts)
-        whole.observe(p[0], p[1]);
-
-    Timeseries a(64), b(64);
-    for (int i = 0; i <= 2; ++i)
-        a.observe(pts[i][0], pts[i][1]);
-    for (int i = 2; i < 6; ++i) // point 2 re-observed: baseline only
-        b.observe(pts[i][0], pts[i][1]);
-    ASSERT_TRUE(a.merge(b));
-
-    EXPECT_EQ(totalCycles(a), totalCycles(whole));
-    EXPECT_EQ(totalInstructions(a), totalInstructions(whole));
-    EXPECT_EQ(a.toJsonl(), whole.toJsonl());
 }
 
 TEST(Timeseries, OutOfOrderObservationIsANoOp)
@@ -130,14 +91,6 @@ TEST(Timeseries, RefsDomainBucketsByReferenceIndex)
     EXPECT_EQ(ts.rows().at(1).ramRefs, 1u);
     EXPECT_NE(ts.toJsonl().find("\"domain\": \"refs\""),
               std::string::npos);
-}
-
-TEST(Timeseries, MergeRejectsMismatchedWidthOrDomain)
-{
-    Timeseries a(100), b(200);
-    EXPECT_FALSE(a.merge(b));
-    Timeseries c(100, Timeseries::Domain::Refs);
-    EXPECT_FALSE(a.merge(c));
 }
 
 TEST(Timeseries, AddCacheAtTargetsTheInterval)
@@ -204,7 +157,7 @@ TEST(RateWindow, ZeroElapsedOrRegressIsSafe)
     EXPECT_DOUBLE_EQ(w.rate(), 0.0);
     w.reset();
     w.add(1.0, 10.0);
-    w.add(2.0, 5.0); // position regressed (new epoch's counter)
+    w.add(2.0, 5.0); // position regressed
     EXPECT_DOUBLE_EQ(w.rate(), 0.0);
     EXPECT_DOUBLE_EQ(w.etaSeconds(100.0), 0.0);
 }
@@ -254,47 +207,6 @@ TEST(LogHistogram, PercentilesAreOrderedAndClamped)
     EXPECT_GE(p50, 1.0);
     EXPECT_LE(p99, 1000.0);
     EXPECT_NEAR(p50, 500.0, 260.0); // log-bucket estimate, coarse
-}
-
-/** The differential: a sequential replay's series (cache columns off
- *  on both sides — those are derived from the stitched trace by the
- *  CLI) against the epoch-parallel merged series, byte for byte. */
-TEST(TimeseriesDifferential, EpochMergedMatchesSequential)
-{
-    workload::UserModelConfig ucfg;
-    ucfg.seed = 77;
-    ucfg.interactions = 4;
-    ucfg.meanIdleTicks = 2'000;
-    core::Session s = core::PalmSimulator::collect(ucfg);
-
-    constexpr u64 kWidth = 1u << 22;
-    Timeseries seq(kWidth);
-    core::ReplayConfig cfg;
-    cfg.timeseries = &seq;
-    core::PalmSimulator::replaySession(s, cfg);
-    const std::string seqJsonl = seq.toJsonl();
-    ASSERT_FALSE(seq.rows().empty());
-
-    epoch::ScanOptions so;
-    so.epochs = 4;
-    epoch::ScanResult scan = epoch::scanSession(s, so);
-    ASSERT_TRUE(scan.ok) << scan.error;
-
-    for (unsigned jobs : {1u, 2u, 8u}) {
-        std::string out =
-            testing::TempDir() + "/pt_ts_diff.ptpk";
-        Timeseries par(kWidth);
-        epoch::RunOptions ro;
-        ro.jobs = jobs;
-        ro.timeseries = &par;
-        epoch::RunResult run = epoch::runEpochs(s, scan.plan, out, ro);
-        ASSERT_TRUE(run.ok) << run.error;
-        EXPECT_TRUE(run.divergences.empty());
-        EXPECT_EQ(par.toJsonl(), seqJsonl)
-            << "merged series differs from sequential at jobs="
-            << jobs;
-        std::remove(out.c_str());
-    }
 }
 
 } // namespace

@@ -6,9 +6,9 @@
  * bit-identical to the interpreter; every test here is a referee for
  * that claim. Whole-session replays are compared byte-for-byte
  * (packed trace, checkpoint fingerprints, instruction and cycle
- * totals) across engines and across epoch-parallel job counts;
- * randomized legal instruction sequences run in lockstep on both
- * engines with shrink-on-failure disassembly; self-modifying-code
+ * totals) across engines; randomized legal instruction sequences
+ * run in lockstep on both engines with shrink-on-failure
+ * disassembly; self-modifying-code
  * edges (same block, adjacent block, patched extension words) and
  * checkpoint-restore invalidation are exercised on the real device;
  * and the flat page-table bus is probed at every region edge where
@@ -26,8 +26,6 @@
 #include "core/palmsim.h"
 #include "device/checkpoint.h"
 #include "device/device.h"
-#include "epoch/epochplan.h"
-#include "epoch/epochrunner.h"
 #include "m68k/disasm.h"
 #include "m68k/execmode.h"
 #include "os/guestrun.h"
@@ -149,48 +147,6 @@ TEST(TranslateDifferential, SessionReplayBitIdentical)
 
     std::remove(seqPath.c_str());
     std::remove(trPath.c_str());
-}
-
-TEST(TranslateDifferential, EpochRunsMatchInterpreterAtJobs1And8)
-{
-    core::Session s;
-    std::string seqPath = tmpFile("pt_tr_epoch_seq.ptpk");
-    epoch::ScanResult scan;
-    {
-        // Baseline AND plan come from the interpreter, so the workers'
-        // checkpoint-fingerprint handoffs are verified cross-engine.
-        ModeGuard g(ExecMode::Interp);
-        s = core::PalmSimulator::collect(sessionCfg(23));
-        packedReplay(s, seqPath);
-        epoch::ScanOptions so;
-        so.epochs = 3;
-        scan = epoch::scanSession(s, so);
-    }
-    ASSERT_TRUE(scan.ok) << scan.error;
-    ASSERT_GE(scan.plan.epochCount(), 2u);
-    std::vector<u8> seqBytes = readFileBytes(seqPath);
-    ASSERT_FALSE(seqBytes.empty());
-
-    for (unsigned jobs : {1u, 8u}) {
-        ModeGuard g(ExecMode::Translate);
-        std::string out = tmpFile("pt_tr_epoch_par.ptpk");
-        epoch::RunOptions ro;
-        ro.jobs = jobs;
-        epoch::RunResult run = epoch::runEpochs(s, scan.plan, out, ro);
-        ASSERT_TRUE(run.ok) << run.error;
-        EXPECT_TRUE(run.divergences.empty()) << "jobs=" << jobs;
-        for (const auto &e : run.epochs)
-            EXPECT_TRUE(e.verified)
-                << "epoch " << e.epoch << " at jobs=" << jobs;
-
-        trace::DiffResult diff = trace::diffTraces(seqPath, out);
-        EXPECT_EQ(diff.outcome, trace::DiffOutcome::Identical)
-            << "jobs=" << jobs << ": " << diff.detail;
-        EXPECT_TRUE(readFileBytes(out) == seqBytes)
-            << "stitched translate trace differs at jobs=" << jobs;
-        std::remove(out.c_str());
-    }
-    std::remove(seqPath.c_str());
 }
 
 // ---------------------------------------------------------------------

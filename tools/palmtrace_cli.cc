@@ -68,9 +68,10 @@
  *
  * Observability options, accepted by every subcommand:
  *
- *   --jobs N             worker threads for the parallel stages
- *                        (PT_JOBS env var sets the default; 1 forces
- *                        fully sequential execution)
+ *   --jobs N             worker threads for the parallel stages, an
+ *                        integer in [1, 1024] (PT_JOBS env var sets
+ *                        the default; 1 forces fully sequential
+ *                        execution)
  *   --metrics-out FILE   write the metrics registry as JSON on exit
  *   --trace-out FILE     record a Chrome trace-event timeline (open in
  *                        Perfetto / chrome://tracing) and write it
@@ -78,7 +79,7 @@
  *                        simulated-time telemetry: per-interval
  *                        cycles/instructions/refs/cache/energy rows
  *                        as JSONL (or CSV when FILE ends in .csv);
- *                        accepted by replay, sweep, and epoch run
+ *                        accepted by replay and sweep
  *   --ts-interval N      timeseries interval width (cycles; refs for
  *                        the sweep's reference-index domain)
  *   --postmortem FILE    arm the flight recorder: on the first
@@ -102,7 +103,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,8 +116,6 @@
 #include "cache/hierarchy.h"
 #include "core/palmsim.h"
 #include "device/checkpoint.h"
-#include "epoch/epochplan.h"
-#include "epoch/epochrunner.h"
 #include "m68k/disasm.h"
 #include "m68k/execmode.h"
 #include "obs/flightrec.h"
@@ -198,8 +196,7 @@ struct Args
             "--metrics-out", "--trace-out",
             "--packed", "--pack-out",    "--synthetic",
             "--format", "--block",
-            "--epochs", "--every-events", "--every-cycles",
-            "--retries", "--deadline",    "--max-retries",
+            "--deadline", "--max-retries",
             "--journal",
             "--timeseries-out", "--ts-interval", "--postmortem",
             "--metrics", "--timeseries",
@@ -258,7 +255,7 @@ struct Args
 
 const char *const kSubcommands[] = {
     "collect", "info", "replay", "validate", "fsck",  "stats",
-    "sweep",   "trace", "epoch", "resume",   "disasm", "report",
+    "sweep",   "trace", "resume", "disasm", "report",
     "fleet",   "serve", "submit",
 };
 
@@ -300,17 +297,6 @@ printUsage(std::FILE *to)
         "                     (any mix of din/PTTR/PTPK); report the\n"
         "                     first divergence; exit 0 identical,\n"
         "                     1 traces differ, 2 unreadable/corrupt\n"
-        "  replay BASE --epochs N --jobs J --pack-out FILE\n"
-        "                     epoch-parallel profiled replay: scan,\n"
-        "                     fan the epochs over the worker pool,\n"
-        "                     stitch a bit-identical packed trace\n"
-        "  epoch plan BASE --out PLAN [--epochs N |\n"
-        "             --every-events K | --every-cycles C]\n"
-        "                     scan a session into an epoch plan\n"
-        "  epoch run BASE PLAN --out FILE [--keep-shards]\n"
-        "            [--retries R] [--block N]\n"
-        "                     profile a plan's epochs on all cores\n"
-        "  epoch info PLAN    summarize an epoch plan\n"
         "  resume JOURNAL [--jobs N]\n"
         "                     resume a journalled job after a crash,\n"
         "                     kill, or Ctrl-C: skips finished items,\n"
@@ -348,7 +334,7 @@ printUsage(std::FILE *to)
         "                     into one markdown run report\n"
         "  help               print this message\n"
         "\n"
-        "supervised-job options (epoch run, sweep --packed, fleet):\n"
+        "supervised-job options (sweep --packed, fleet, submit):\n"
         "  --journal FILE       write-ahead job journal; enables\n"
         "                       'palmtrace resume FILE'\n"
         "  --deadline MS        per-item stall deadline enforced by\n"
@@ -356,8 +342,9 @@ printUsage(std::FILE *to)
         "  --max-retries N      attempts per item before quarantine\n"
         "\n"
         "observability options (any subcommand):\n"
-        "  --jobs N             worker threads for parallel stages\n"
-        "                       (also: PT_JOBS; 1 forces sequential)\n"
+        "  --jobs N             worker threads for parallel stages,\n"
+        "                       1..1024 (also: PT_JOBS; 1 forces\n"
+        "                       sequential)\n"
         "  --exec-mode MODE     m68k engine: interp | translate\n"
         "                       (also: PT_EXEC_MODE; both engines are\n"
         "                       bit-identical, translate is faster)\n"
@@ -365,8 +352,8 @@ printUsage(std::FILE *to)
         "  --trace-out FILE     write a Chrome/Perfetto trace timeline\n"
         "  --timeseries-out FILE\n"
         "                       simulated-time telemetry (JSONL, or\n"
-        "                       CSV when FILE ends in .csv); replay,\n"
-        "                       sweep, and epoch run\n"
+        "                       CSV when FILE ends in .csv); replay\n"
+        "                       and sweep\n"
         "  --ts-interval N      timeseries interval width in cycles\n"
         "                       (refs for the sweep domain)\n"
         "  --postmortem FILE    arm the flight recorder; failure\n"
@@ -427,12 +414,10 @@ unknownSubcommand(const std::string &cmd)
 
 /** Wall-clock heartbeat printer for long replays. Reports progress
  *  in emulated cycles — the quantity replay wall time is actually
- *  proportional to — with a cycle-rate ETA, and tags the owning
- *  epoch when epoch-parallel workers report concurrently. Rates and
- *  the ETA come from a sliding window over recent reports (one
- *  window per reporting epoch), not the run-lifetime average, so
- *  they converge on the current pace instead of being dragged by a
- *  slow warm-up or an early fast phase. */
+ *  proportional to — with a cycle-rate ETA. Rates and the ETA come
+ *  from a sliding window over recent reports, not the run-lifetime
+ *  average, so they converge on the current pace instead of being
+ *  dragged by a slow warm-up or an early fast phase. */
 class Heartbeat
 {
   public:
@@ -441,16 +426,9 @@ class Heartbeat
     {
         start = std::chrono::steady_clock::now();
         opts.progressEveryEvents = everyEvents;
-        opts.progress = handler();
-    }
-
-    /** The progress callback itself, for non-ReplayOptions surfaces
-     *  (the epoch runner's RunOptions). */
-    std::function<void(const replay::ReplayProgress &)>
-    handler()
-    {
-        start = std::chrono::steady_clock::now();
-        return [this](const replay::ReplayProgress &p) { report(p); };
+        opts.progress = [this](const replay::ReplayProgress &p) {
+            report(p);
+        };
     }
 
   private:
@@ -462,46 +440,29 @@ class Heartbeat
                           .count();
         if (secs <= 0.0)
             return;
-        // Concurrent epoch workers share one heartbeat; serialize the
-        // lines so they never interleave mid-record. Each epoch's
-        // positions advance independently, so each gets its own
-        // rate windows.
-        std::lock_guard<std::mutex> lock(mutex);
-        Windows &w = windows[p.epochId];
-        w.events.add(secs, static_cast<double>(p.eventsDelivered));
-        w.cycles.add(secs, static_cast<double>(p.cycles));
-        double evRate = w.events.rate();
-        double cycRate = w.cycles.rate();
+        events.add(secs, static_cast<double>(p.eventsDelivered));
+        cycles.add(secs, static_cast<double>(p.cycles));
         // The replay ends around the last scheduled event (plus a
         // short settle), so the final emulated-cycle position is
         // known up front — unlike wall time, which depends on host
         // load, this ETA is derived from emulated progress.
         u64 finalCycles = p.finalTick * kCyclesPerTick;
         double eta = std::max(
-            0.0, w.cycles.etaSeconds(static_cast<double>(finalCycles)));
-        char tag[24] = "";
-        if (p.epochId >= 0)
-            std::snprintf(tag, sizeof(tag), " [epoch %d]", p.epochId);
+            0.0, cycles.etaSeconds(static_cast<double>(finalCycles)));
         std::fprintf(
             stderr,
-            "progress%s: %llu/%llu events, cycle %.1fM/%.1fM "
+            "progress: %llu/%llu events, cycle %.1fM/%.1fM "
             "(%.0f events/s, %.2fM cyc/s, ETA %.1fs)\n",
-            tag, static_cast<unsigned long long>(p.eventsDelivered),
+            static_cast<unsigned long long>(p.eventsDelivered),
             static_cast<unsigned long long>(p.totalEvents),
             static_cast<double>(p.cycles) / 1e6,
-            static_cast<double>(finalCycles) / 1e6, evRate,
-            cycRate / 1e6, eta);
+            static_cast<double>(finalCycles) / 1e6, events.rate(),
+            cycles.rate() / 1e6, eta);
     }
 
-    struct Windows
-    {
-        obs::RateWindow events;
-        obs::RateWindow cycles;
-    };
-
     std::chrono::steady_clock::time_point start;
-    std::mutex mutex;
-    std::map<int, Windows> windows; ///< keyed by epochId (-1 = whole)
+    obs::RateWindow events;
+    obs::RateWindow cycles;
 };
 
 /** Publishes one simulated cache level into the registry. */
@@ -556,7 +517,7 @@ profileHierarchy()
 }
 
 // ---------------------------------------------------------------------
-// Simulated-time telemetry plumbing shared by replay/sweep/epoch.
+// Simulated-time telemetry plumbing shared by replay and sweep.
 
 /** Parses --ts-interval. @return 0 on a bad value (caller reports). */
 u64
@@ -580,85 +541,6 @@ writeTimeseries(const obs::Timeseries &ts, const char *path,
     }
     std::fprintf(stderr, "timeseries written to %s (%zu intervals)\n",
                  path, ts.rows().size());
-    return true;
-}
-
-/**
- * Fills an epoch-merged series' cache columns from the stitched
- * trace. The stitched PTPK stream is byte-identical to what a
- * sequential profiled replay emits, and the merged per-interval
- * ram+flash counts partition that stream exactly as the sequential
- * run's per-ref cycle attribution did — so streaming the records
- * through an identically-configured hierarchy, switching intervals
- * at the partition boundaries, reproduces the sequential inline
- * cache columns (DESIGN.md §14).
- */
-bool
-addStitchedCacheColumns(obs::Timeseries &ts, const char *tracePath,
-                        const char *what)
-{
-    cache::TwoLevelCache hier = profileHierarchy();
-    trace::PackedTraceReader reader;
-    if (auto r = reader.open(tracePath); !r) {
-        std::fprintf(stderr, "%s: timeseries: %s: %s\n", what,
-                     tracePath, r.message().c_str());
-        return false;
-    }
-    std::vector<trace::TraceRecord> block;
-    std::size_t pos = 0;
-    auto next = [&](trace::TraceRecord &rec) -> bool {
-        while (pos >= block.size()) {
-            if (!reader.nextBlock(block))
-                return false;
-            pos = 0;
-        }
-        rec = block[pos++];
-        return true;
-    };
-
-    // Snapshot the partition first: addCacheAt touches the rows the
-    // counts came from.
-    std::vector<std::pair<u64, u64>> partition;
-    for (const auto &[idx, row] : ts.rows())
-        partition.emplace_back(idx, row.ramRefs + row.flashRefs);
-
-    for (const auto &[idx, refs] : partition) {
-        u64 l1h = 0, l1m = 0, l2h = 0, l2m = 0;
-        for (u64 i = 0; i < refs; ++i) {
-            trace::TraceRecord rec;
-            if (!next(rec)) {
-                std::fprintf(stderr,
-                             "%s: timeseries: stitched trace ends "
-                             "before the series' reference count\n",
-                             what);
-                return false;
-            }
-            const bool isFlash = rec.cls == 1;
-            if (hier.l1().access(rec.addr, isFlash)) {
-                ++l1h;
-            } else {
-                ++l1m;
-                if (hier.l2().access(rec.addr, isFlash))
-                    ++l2h;
-                else
-                    ++l2m;
-            }
-        }
-        ts.addCacheAt(idx, l1h, l1m, l2h, l2m);
-    }
-    if (auto &r = reader.status(); !r) {
-        std::fprintf(stderr, "%s: timeseries: %s: %s\n", what,
-                     tracePath, r.message().c_str());
-        return false;
-    }
-    trace::TraceRecord rec;
-    if (next(rec)) {
-        std::fprintf(stderr,
-                     "%s: timeseries: stitched trace holds more "
-                     "references than the series counted\n",
-                     what);
-        return false;
-    }
     return true;
 }
 
@@ -723,7 +605,7 @@ packedTraceToRefSeries(const char *path, obs::Timeseries &ts,
 
 u32 blockCapacityArg(const Args &a); // defined with the trace toolbox
 
-// Supervised-job plumbing, defined with the epoch/resume commands.
+// Supervised-job plumbing, defined with the resume command.
 super::JobOptions jobOptionsFrom(const Args &a);
 int reportJob(const char *what, const super::JobResult &r);
 
@@ -816,162 +698,12 @@ cmdInfo(const Args &a)
     return 0;
 }
 
-/** Formats a fingerprint for display. */
-std::string
-fpHex(u64 fp)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
-}
-
-/** Prints the profile pass's per-epoch table and totals. */
-void
-printEpochRun(const epoch::RunResult &run, const char *out)
-{
-    TextTable t("Epoch-parallel profile pass");
-    t.setHeader({"Epoch", "Events", "Refs", "Instructions", "Seconds",
-                 "Retries", "Handoff"});
-    for (const auto &e : run.epochs) {
-        t.addRow({std::to_string(e.epoch), std::to_string(e.events),
-                  std::to_string(e.refs),
-                  std::to_string(e.instructions),
-                  TextTable::num(e.seconds, 2),
-                  std::to_string(e.retries),
-                  e.verified ? "verified" : "DIVERGED"});
-    }
-    std::printf("%s", t.render().c_str());
-    std::printf("stitched trace %s (%llu refs, %llu bytes); "
-                "profile %.2fs + stitch %.2fs\n",
-                out, static_cast<unsigned long long>(run.refs),
-                static_cast<unsigned long long>(run.bytesWritten),
-                run.profileSeconds, run.stitchSeconds);
-    for (const auto &d : run.divergences) {
-        std::fprintf(stderr,
-                     "epoch %llu DIVERGED after %u retries: expected "
-                     "fingerprint %s, got %s (degraded: shard kept)\n",
-                     static_cast<unsigned long long>(d.epoch),
-                     d.retries, fpHex(d.expected).c_str(),
-                     fpHex(d.actual).c_str());
-    }
-}
-
-/** `replay --epochs N --pack-out FILE`: the one-shot epoch-parallel
- *  pipeline — scan this session into N epochs, profile them on the
- *  worker pool, stitch the shards into one packed trace. */
-int
-cmdReplayEpochs(const Args &a, const core::Session &s)
-{
-    if (a.has("--import") || a.has("--recover") ||
-        a.value("--jitter")) {
-        std::fprintf(stderr,
-                     "replay: --epochs cannot be combined with "
-                     "--import, --jitter, or --recover (epoch replay "
-                     "reproduces the exact bit-identical timeline)\n");
-        return 2;
-    }
-    const char *packOut = a.value("--pack-out");
-    if (!packOut) {
-        std::fprintf(stderr, "replay: --epochs needs --pack-out FILE "
-                             "(the stitched trace destination)\n");
-        return 2;
-    }
-    u32 cap = blockCapacityArg(a);
-    if (!cap) {
-        std::fprintf(stderr, "replay: --block must be in [1, %u]\n",
-                     trace::kPackedMaxBlockCapacity);
-        return 2;
-    }
-
-    epoch::ScanOptions so;
-    so.epochs = std::strtoull(a.value("--epochs", "0"), nullptr, 0);
-    epoch::ScanResult scan = epoch::scanSession(s, so);
-    if (!scan.ok) {
-        std::fprintf(stderr, "replay: %s\n", scan.error.c_str());
-        return 1;
-    }
-    std::printf("scan pass     %.2fs, %llu epochs over %llu events\n",
-                scan.seconds,
-                static_cast<unsigned long long>(scan.plan.epochCount()),
-                static_cast<unsigned long long>(scan.plan.totalEvents));
-
-    epoch::RunOptions ro;
-    ro.blockCapacity = cap;
-    ro.maxRetries = static_cast<u32>(
-        std::strtoul(a.value("--retries", "2"), nullptr, 0));
-    ro.keepShards = a.has("--keep-shards");
-    ro.cancel = &gSigint;
-    const char *tsOut = a.value("--timeseries-out");
-    std::unique_ptr<obs::Timeseries> ts;
-    if (tsOut) {
-        u64 w = tsIntervalArg(a);
-        if (!w) {
-            std::fprintf(stderr,
-                         "replay: --ts-interval must be positive\n");
-            return 2;
-        }
-        ts = std::make_unique<obs::Timeseries>(w);
-        ro.timeseries = ts.get();
-    }
-    Heartbeat hb;
-    if (!a.has("--quiet")) {
-        ro.progress = hb.handler();
-        ro.progressEveryEvents = 250;
-    }
-    epoch::RunResult run = epoch::runEpochs(s, scan.plan, packOut, ro);
-    if (!run.ok) {
-        std::fprintf(stderr, "replay: %s\n", run.error.c_str());
-        return run.interrupted ? kExitInterrupted : 1;
-    }
-    printEpochRun(run, packOut);
-    if (ts) {
-        if (!addStitchedCacheColumns(*ts, packOut, "replay") ||
-            !writeTimeseries(*ts, tsOut, "replay"))
-            return 1;
-    }
-
-    if (a.has("--profile")) {
-        // Profiling from the stitched stream: byte-identical to the
-        // sequential replay's, so the hierarchy counters match too.
-        cache::TwoLevelCache hier = profileHierarchy();
-        trace::PackedTraceReader reader;
-        if (auto r = reader.open(packOut); !r) {
-            std::fprintf(stderr, "replay: %s: %s\n", packOut,
-                         r.message().c_str());
-            return 1;
-        }
-        std::vector<trace::TraceRecord> block;
-        while (reader.nextBlock(block)) {
-            for (const auto &rec : block)
-                hier.access(rec.addr, rec.cls == 1);
-        }
-        if (auto &r = reader.status(); !r) {
-            std::fprintf(stderr, "replay: %s: %s\n", packOut,
-                         r.message().c_str());
-            return 1;
-        }
-        publishCacheLevel("l1", hier.l1().stats());
-        publishCacheLevel("l2", hier.l2().stats());
-        std::printf("cache L1      %.3f%% miss (%s), L2 %.3f%% miss "
-                    "(%s); T_eff %.3f cycles\n",
-                    hier.l1().stats().missRate() * 100.0,
-                    hier.l1().config().name().c_str(),
-                    hier.l2().stats().missRate() * 100.0,
-                    hier.l2().config().name().c_str(),
-                    hier.avgAccessTime());
-    }
-    return run.divergences.empty() ? 0 : 1;
-}
-
 int
 cmdReplay(const Args &a)
 {
     core::Session s;
     if (!loadSession(a, s))
         return 1;
-    if (a.value("--epochs"))
-        return cmdReplayEpochs(a, s);
     core::ReplayConfig cfg;
     cfg.logicalImportMode = a.has("--import");
     cfg.options.burstJitterTicks = static_cast<Ticks>(
@@ -1007,10 +739,9 @@ cmdReplay(const Args &a)
         cfg.extraRefSink = &tee;
 
     // Simulated-time telemetry: the replay engine observes CPU
-    // progress at its event-meter points and the core attributes
-    // each reference (and its cache outcome, via a dedicated
-    // hierarchy identical to the epoch post-stitch pass's) to the
-    // interval holding its cycle.
+    // progress once per event and the core attributes each reference
+    // (and its cache outcome, via a dedicated profiling hierarchy)
+    // to the interval holding its cycle.
     const char *tsOut = a.value("--timeseries-out");
     std::unique_ptr<obs::Timeseries> ts;
     cache::TwoLevelCache tsHier = profileHierarchy();
@@ -1231,22 +962,6 @@ statsForCheckpoint(const std::string &path, TextTable &t)
     t.addRow({path, "fingerprint", fp});
     obs::Registry::global()
         .counter("artifact.checkpoints_summarized")
-        .inc();
-}
-
-void
-statsForEpochPlan(const std::string &path, TextTable &t)
-{
-    epoch::EpochPlan plan;
-    if (auto res = epoch::EpochPlan::load(path, plan); !res)
-        return;
-    t.addRow({path, "epochs", std::to_string(plan.epochCount())});
-    t.addRow({path, "total events",
-              std::to_string(plan.totalEvents)});
-    t.addRow({path, "settle ticks",
-              std::to_string(plan.settleTicks)});
-    obs::Registry::global()
-        .counter("artifact.epoch_plans_summarized")
         .inc();
 }
 
@@ -1512,8 +1227,6 @@ cmdStats(const Args &a)
             statsForSnapshot(p, t);
         else if (rep.kind == std::string("checkpoint"))
             statsForCheckpoint(p, t);
-        else if (rep.kind == std::string("epoch plan"))
-            statsForEpochPlan(p, t);
     }
     std::printf("%s", t.render().c_str());
     return allClean ? 0 : 1;
@@ -2134,8 +1847,8 @@ cmdTraceInfo(const Args &, const std::vector<const char *> &ops)
 }
 
 /** `trace diff A B`: record-by-record comparison of two traces in
- *  any mix of formats; reports the first divergence. The epoch CI
- *  job uses it to prove stitched == sequential. Exit codes are a
+ *  any mix of formats; reports the first divergence. The fleet and
+ *  serve CI jobs use it to prove traces identical. Exit codes are a
  *  contract: 0 identical, 1 traces differ, 2 unreadable/corrupt
  *  input (or usage error). */
 int
@@ -2185,23 +1898,6 @@ cmdTrace(const Args &a)
     return 2;
 }
 
-// ---------------------------------------------------------------------
-// `palmtrace epoch`: the epoch-parallel replay toolbox.
-
-bool
-loadSessionAt(const char *base, core::Session &s)
-{
-    if (auto res = core::Session::load(base, s); !res) {
-        std::fprintf(stderr, "cannot load session '%s': %s\n", base,
-                     res.message().c_str());
-        return false;
-    }
-    return true;
-}
-
-/** `epoch plan BASE --out PLAN`: the scan pass alone — replay once
- *  without profiling instrumentation and save the checkpoint fan-out
- *  plan as a reusable artifact. */
 // ---------------------------------------------------------------------
 // Supervised jobs: journalled, watchdog-guarded, resumable runs.
 
@@ -2305,9 +2001,11 @@ runFleetCommand(const char *what, const Args &a, const char *out,
         fleetSpecs(count, scale, seed);
 
     super::JobOptions jo = jobOptionsFrom(a);
-    if (const char *b = a.value("--block")) {
-        jo.blockCapacity =
-            static_cast<u32>(std::strtoul(b, nullptr, 0));
+    jo.blockCapacity = blockCapacityArg(a);
+    if (!jo.blockCapacity) {
+        std::fprintf(stderr, "%s: --block must be in [1, %u]\n", what,
+                     trace::kPackedMaxBlockCapacity);
+        return 2;
     }
     if (!endpoint.empty()) {
         serve::ClientOptions co;
@@ -2395,8 +2093,7 @@ cmdServe(const Args &a)
         so.maxSessions = 64;
     so.sessionTimeoutMs = std::strtoull(
         a.value("--session-timeout", "0"), nullptr, 0);
-    if (const char *j = a.value("--jobs"))
-        so.jobs = static_cast<unsigned>(std::atoi(j));
+    so.jobs = parseJobs(a.value("--jobs")); // validated by main()
     if (const char *s = a.value("--scratch"))
         so.scratchDir = s;
 
@@ -2449,8 +2146,7 @@ cmdResume(const Args &a)
     }
     super::JobOptions jo;
     jo.globalCancel = &gSigint;
-    if (const char *j = a.value("--jobs"))
-        jo.jobs = static_cast<unsigned>(std::atoi(j));
+    jo.jobs = parseJobs(a.value("--jobs")); // validated by main()
     // Remote-fleet journals are resumed by the serve client (the
     // endpoint travels in the journal; --socket/--tcp override it).
     if (serve::isRemoteFleetJournal(journal)) {
@@ -2459,209 +2155,6 @@ cmdResume(const Args &a)
                              journal, endpointFrom(a), jo));
     }
     return reportJob("resume", super::resumeJob(journal, jo));
-}
-
-int
-cmdEpochPlan(const Args &a, const std::vector<const char *> &ops)
-{
-    if (ops.size() != 2) {
-        std::fprintf(stderr,
-                     "usage: palmtrace epoch plan BASE --out PLAN "
-                     "[--epochs N | --every-events K | "
-                     "--every-cycles C]\n");
-        return 2;
-    }
-    const char *out = a.value("--out");
-    if (!out) {
-        std::fprintf(stderr, "epoch plan: --out PLAN is required\n");
-        return 2;
-    }
-    core::Session s;
-    if (!loadSessionAt(ops[1], s))
-        return 1;
-
-    epoch::ScanOptions so;
-    so.epochs = std::strtoull(a.value("--epochs", "0"), nullptr, 0);
-    so.everyEvents =
-        std::strtoull(a.value("--every-events", "0"), nullptr, 0);
-    so.everyCycles =
-        std::strtoull(a.value("--every-cycles", "0"), nullptr, 0);
-
-    epoch::ScanResult scan = epoch::scanSession(s, so);
-    if (!scan.ok) {
-        std::fprintf(stderr, "epoch plan: %s\n", scan.error.c_str());
-        return 1;
-    }
-    std::string err;
-    if (!scan.plan.save(out, &err)) {
-        std::fprintf(stderr, "epoch plan: %s\n", err.c_str());
-        return 1;
-    }
-    std::printf("epoch plan %s: %llu epochs over %llu events "
-                "(scan %.2fs, %llu instructions)\n",
-                out,
-                static_cast<unsigned long long>(scan.plan.epochCount()),
-                static_cast<unsigned long long>(scan.plan.totalEvents),
-                scan.seconds,
-                static_cast<unsigned long long>(scan.instructions));
-    return 0;
-}
-
-/** `epoch run BASE PLAN --out FILE`: the profile pass alone — fan a
- *  saved plan's epochs over the worker pool and stitch the shards. */
-int
-cmdEpochRun(const Args &a, const std::vector<const char *> &ops)
-{
-    if (ops.size() != 3) {
-        std::fprintf(stderr,
-                     "usage: palmtrace epoch run BASE PLAN --out FILE "
-                     "[--keep-shards] [--retries R] [--block N]\n");
-        return 2;
-    }
-    const char *out = a.value("--out");
-    if (!out) {
-        std::fprintf(stderr, "epoch run: --out FILE is required\n");
-        return 2;
-    }
-    u32 cap = blockCapacityArg(a);
-    if (!cap) {
-        std::fprintf(stderr, "epoch run: --block must be in [1, %u]\n",
-                     trace::kPackedMaxBlockCapacity);
-        return 2;
-    }
-    core::Session s;
-    if (!loadSessionAt(ops[1], s))
-        return 1;
-    epoch::EpochPlan plan;
-    if (auto res = epoch::EpochPlan::load(ops[2], plan); !res) {
-        std::fprintf(stderr, "epoch run: %s: %s\n", ops[2],
-                     res.message().c_str());
-        return 1;
-    }
-
-    // Any supervision flag routes through the journalled job runner;
-    // the plain path keeps the seed behaviour (and its own retry
-    // loop) untouched.
-    if (a.value("--journal") || a.value("--deadline") ||
-        a.value("--max-retries")) {
-        if (a.value("--timeseries-out")) {
-            std::fprintf(
-                stderr,
-                "epoch run: --timeseries-out is not supported with "
-                "supervised (journalled) runs — a resumed run skips "
-                "finished epochs, so their telemetry would be "
-                "missing; use the plain 'epoch run' or 'replay "
-                "--epochs'\n");
-            return 2;
-        }
-        super::JobOptions jo = jobOptionsFrom(a);
-        jo.blockCapacity = cap;
-        jo.keepShards = a.has("--keep-shards");
-        Heartbeat shb;
-        if (!a.has("--quiet")) {
-            jo.progress = shb.handler();
-            jo.progressEveryEvents = 250;
-        }
-        return reportJob("epoch run",
-                         super::runEpochJob(s, ops[1], plan, ops[2],
-                                            out, jo));
-    }
-
-    epoch::RunOptions ro;
-    ro.blockCapacity = cap;
-    ro.maxRetries = static_cast<u32>(
-        std::strtoul(a.value("--retries", "2"), nullptr, 0));
-    ro.keepShards = a.has("--keep-shards");
-    ro.cancel = &gSigint;
-    const char *tsOut = a.value("--timeseries-out");
-    std::unique_ptr<obs::Timeseries> ts;
-    if (tsOut) {
-        u64 w = tsIntervalArg(a);
-        if (!w) {
-            std::fprintf(stderr,
-                         "epoch run: --ts-interval must be positive\n");
-            return 2;
-        }
-        ts = std::make_unique<obs::Timeseries>(w);
-        ro.timeseries = ts.get();
-    }
-    Heartbeat hb;
-    if (!a.has("--quiet")) {
-        ro.progress = hb.handler();
-        ro.progressEveryEvents = 250;
-    }
-    epoch::RunResult run = epoch::runEpochs(s, plan, out, ro);
-    if (!run.ok) {
-        std::fprintf(stderr, "epoch run: %s\n", run.error.c_str());
-        return run.interrupted ? kExitInterrupted : 1;
-    }
-    printEpochRun(run, out);
-    if (ts) {
-        if (!addStitchedCacheColumns(*ts, out, "epoch run") ||
-            !writeTimeseries(*ts, tsOut, "epoch run"))
-            return 1;
-    }
-    return run.divergences.empty() ? 0 : 1;
-}
-
-/** `epoch info PLAN`: summarize a plan artifact. */
-int
-cmdEpochInfo(const Args &, const std::vector<const char *> &ops)
-{
-    if (ops.size() != 2) {
-        std::fprintf(stderr, "usage: palmtrace epoch info PLAN\n");
-        return 2;
-    }
-    epoch::EpochPlan plan;
-    if (auto res = epoch::EpochPlan::load(ops[1], plan); !res) {
-        std::fprintf(stderr, "epoch info: %s: %s\n", ops[1],
-                     res.message().c_str());
-        return 1;
-    }
-    TextTable t("Epoch plan");
-    t.setHeader({"Epoch", "First event", "Events", "Start tick",
-                 "Fingerprint"});
-    for (std::size_t k = 0; k < plan.entries.size(); ++k) {
-        const auto &e = plan.entries[k];
-        t.addRow({std::to_string(k),
-                  std::to_string(e.state.eventIndex),
-                  std::to_string(plan.lastEvent(k) -
-                                 plan.firstEvent(k)),
-                  std::to_string(e.state.machine.cycleCount /
-                                 kCyclesPerTick),
-                  fpHex(e.fingerprint)});
-    }
-    std::printf("%s", t.render().c_str());
-    std::printf("%llu epochs over %llu events; settle %llu ticks; "
-                "log %s, final state %s\n",
-                static_cast<unsigned long long>(plan.epochCount()),
-                static_cast<unsigned long long>(plan.totalEvents),
-                static_cast<unsigned long long>(plan.settleTicks),
-                fpHex(plan.logFingerprint).c_str(),
-                fpHex(plan.finalFingerprint).c_str());
-    return 0;
-}
-
-int
-cmdEpoch(const Args &a)
-{
-    auto ops = a.operands();
-    if (ops.empty()) {
-        std::fprintf(stderr,
-                     "epoch: missing operation (plan, run, info)\n");
-        return 2;
-    }
-    if (!std::strcmp(ops[0], "plan"))
-        return cmdEpochPlan(a, ops);
-    if (!std::strcmp(ops[0], "run"))
-        return cmdEpochRun(a, ops);
-    if (!std::strcmp(ops[0], "info"))
-        return cmdEpochInfo(a, ops);
-    std::fprintf(stderr,
-                 "epoch: unknown operation '%s' (want plan, run, or "
-                 "info)\n",
-                 ops[0]);
-    return 2;
 }
 
 int
@@ -2978,8 +2471,6 @@ dispatch(const std::string &cmd, const Args &rest)
         return cmdSweep(rest);
     if (cmd == "trace")
         return cmdTrace(rest);
-    if (cmd == "epoch")
-        return cmdEpoch(rest);
     if (cmd == "resume")
         return cmdResume(rest);
     if (cmd == "fleet")
@@ -3011,10 +2502,8 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // fsck/stats dispatch on artifact magic; the epoch-plan and
-    // job-journal parsers live above the validate layer and hook in
-    // at startup.
-    epoch::registerFsckParser();
+    // fsck/stats dispatch on artifact magic; the job-journal parser
+    // lives above the validate layer and hooks in at startup.
     super::registerFsckParser();
 
     // Ctrl-C becomes a cooperative stop: journals get their footer,
@@ -3041,17 +2530,23 @@ main(int argc, char **argv)
     else if (rest.has("--verbose"))
         setLogLevel(LogLevel::Debug);
 
-    // Worker threads for the parallel stages (sweep flushes, session
-    // batches). PT_JOBS is the environment's default; --jobs wins.
+    // Worker threads for the parallel stages (sweep flushes, fleet
+    // items). PT_JOBS is the environment's default; --jobs wins.
     if (const char *jobs = rest.value("--jobs")) {
-        unsigned n = static_cast<unsigned>(std::atoi(jobs));
-        if (n)
-            setDefaultJobs(n);
+        unsigned n = parseJobs(jobs);
+        if (!n) {
+            std::fprintf(stderr,
+                         "palmtrace: --jobs %s: expected an integer in "
+                         "[1, %u]\n",
+                         jobs, kMaxJobs);
+            return 2;
+        }
+        setDefaultJobs(n);
     }
 
     // The m68k execution engine. PT_EXEC_MODE is the environment's
     // default; --exec-mode wins. Every device this process builds
-    // (replay, epoch workers, validation) samples this default.
+    // (replay, fleet items, validation) samples this default.
     if (const char *em = rest.value("--exec-mode")) {
         m68k::ExecMode mode;
         if (!m68k::parseExecMode(em, &mode)) {
