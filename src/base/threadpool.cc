@@ -1,6 +1,7 @@
 #include "threadpool.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 
 namespace pt
@@ -14,16 +15,34 @@ thread_local bool tlOnWorker = false;
 
 } // namespace
 
-unsigned
-parseJobs(const char *s)
+u64
+parseCount(const char *s, u64 max)
 {
     if (!s || *s < '0' || *s > '9')
         return 0;
     char *end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (*end || v == 0 || v > kMaxJobs)
+    unsigned long long v = std::strtoull(s, &end, 10);
+    if (*end || v == 0 || v > max)
         return 0;
-    return static_cast<unsigned>(v);
+    return v;
+}
+
+unsigned
+parseJobs(const char *s)
+{
+    return static_cast<unsigned>(parseCount(s, kMaxJobs));
+}
+
+double
+parseScale(const char *s)
+{
+    if (!s || !((*s >= '0' && *s <= '9') || *s == '.'))
+        return 0;
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (*end || !std::isfinite(v) || v <= 0)
+        return 0;
+    return v;
 }
 
 unsigned

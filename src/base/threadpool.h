@@ -64,6 +64,19 @@ inline constexpr unsigned kMaxJobs = 1024;
  */
 unsigned parseJobs(const char *s);
 
+/**
+ * Parses a count option (--jobs, a fleet's --count): a plain decimal
+ * integer in [1, @p max]. @return 0 for anything else, as parseJobs.
+ */
+u64 parseCount(const char *s, u64 max);
+
+/**
+ * Parses a scale factor (--scale): a plain decimal number that is
+ * finite and > 0. @return 0 for anything else — null, empty, signs,
+ * trailing junk, zero, inf or nan.
+ */
+double parseScale(const char *s);
+
 /** A fixed-size work-stealing pool. */
 class ThreadPool
 {

@@ -141,16 +141,6 @@ Timeseries::addCache(u64 cycle, int level, bool hit)
 }
 
 void
-Timeseries::addCacheAt(u64 idx, u64 l1h, u64 l1m, u64 l2h, u64 l2m)
-{
-    Row &r = row(idx);
-    r.l1Hits += l1h;
-    r.l1Misses += l1m;
-    r.l2Hits += l2h;
-    r.l2Misses += l2m;
-}
-
-void
 Timeseries::noteEvent(u64 cycle)
 {
     const u64 pos =

@@ -109,10 +109,6 @@ class Timeseries
      */
     void addCache(u64 cycle, int level, bool hit);
 
-    /** Adds cache outcomes directly to interval @p idx. */
-    void addCacheAt(u64 idx, u64 l1Hits, u64 l1Misses, u64 l2Hits,
-                    u64 l2Misses);
-
     /** Counts one replay event drained at @p cycle. */
     void noteEvent(u64 cycle);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "base/binio.h"
-
 namespace pt::trace
 {
 
@@ -17,76 +15,6 @@ RefCounter::avgMemCycles() const
     return (static_cast<double>(ram) * kRamCycles +
             static_cast<double>(flash) * kFlashCycles) /
            static_cast<double>(t);
-}
-
-namespace
-{
-constexpr std::size_t kTraceRecordBytes = 6; // u32 addr + kind + cls
-} // namespace
-
-bool
-TraceBuffer::save(const std::string &path) const
-{
-    BinWriter w;
-    w.put32(kTraceMagic);
-    w.put32(static_cast<u32>(recs.size()));
-    for (const auto &r : recs) {
-        w.put32(r.addr);
-        w.put8(r.kind);
-        w.put8(r.cls);
-    }
-    return w.writeFile(path);
-}
-
-LoadResult
-TraceBuffer::load(const std::string &path, TraceBuffer &out)
-{
-    BinReader r({});
-    if (auto res = BinReader::readFile(path, r); !res)
-        return res;
-    if (r.remaining() < 8) {
-        return LoadResult::fail(0, "header",
-                                "file too short for a PTTR header (" +
-                                    std::to_string(r.remaining()) +
-                                    " bytes)");
-    }
-    if (u32 magic = r.get32(); magic != kTraceMagic) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "0x%08X", magic);
-        return LoadResult::fail(0, "magic",
-                                "expected 0x50545452 (PTTR), found " +
-                                    std::string(buf));
-    }
-    u32 n = r.get32();
-    // The count is untrusted: clamp it against the bytes actually
-    // present before reserving, so a corrupt header cannot demand a
-    // multi-gigabyte allocation.
-    if (static_cast<u64>(n) * kTraceRecordBytes > r.remaining()) {
-        return LoadResult::fail(
-            4, "count",
-            "header claims " + std::to_string(n) + " records (" +
-                std::to_string(static_cast<u64>(n) *
-                               kTraceRecordBytes) +
-                " bytes) but only " + std::to_string(r.remaining()) +
-                " payload bytes remain");
-    }
-    if (r.remaining() !=
-        static_cast<u64>(n) * kTraceRecordBytes) {
-        return LoadResult::fail(
-            8 + static_cast<u64>(n) * kTraceRecordBytes, "payload",
-            "trailing bytes after the last record");
-    }
-    out.recs.clear();
-    out.recs.reserve(n);
-    out.dropped = 0;
-    for (u32 i = 0; i < n; ++i) {
-        TraceRecord rec;
-        rec.addr = r.get32();
-        rec.kind = r.get8();
-        rec.cls = r.get8();
-        out.recs.push_back(rec);
-    }
-    return LoadResult();
 }
 
 std::string

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "base/loaderror.h"
 #include "base/types.h"
 #include "device/bus.h"
 #include "m68k/cpu.h"
@@ -85,7 +84,9 @@ class RefCounter : public device::MemRefSink
 inline constexpr double kRamCycles = 1.0;
 inline constexpr double kFlashCycles = 3.0;
 
-/** PTTR trace-file magic. */
+/** Magic of the retired raw PTTR trace file (6 B/ref). Nothing reads
+ *  or writes PTTR any more; the magic stays so such a file is refused
+ *  by name instead of being read as Dinero text. */
 inline constexpr u32 kTraceMagic = 0x50545452; // "PTTR"
 
 /** One trace record: classified reference. */
@@ -98,7 +99,8 @@ struct TraceRecord
 
 /**
  * Buffers classified references in memory (optionally bounded), for
- * writing trace files or feeding the cache simulator offline.
+ * feeding the cache simulator offline. On disk, traces are PTPK
+ * (trace/packedtrace.h) or Dinero din (trace/dinero.h).
  */
 class TraceBuffer : public device::MemRefSink
 {
@@ -128,17 +130,6 @@ class TraceBuffer : public device::MemRefSink
     const std::vector<TraceRecord> &records() const { return recs; }
     u64 droppedCount() const { return dropped; }
     void clear() { recs.clear(); dropped = 0; }
-
-    /** Writes a raw PTTR binary trace file (6 bytes per record). */
-    bool save(const std::string &path) const;
-
-    /**
-     * Loads a raw PTTR file. The on-disk record count is validated
-     * against the actual payload size before any allocation, so a
-     * corrupt or truncated header cannot trigger a multi-gigabyte
-     * reserve; failures return a structured LoadError.
-     */
-    static LoadResult load(const std::string &path, TraceBuffer &out);
 
   private:
     std::size_t capacity;

@@ -2,9 +2,9 @@
  * @file
  * Block-based packed memory-reference trace format ("PTPK").
  *
- * The raw PTTR encoding (trace::TraceBuffer) spends 6 bytes per
- * record and must materialize the whole trace in RAM; multi-hour
- * sessions and desktop traces (Figure 7) need a compact, streaming
+ * A raw encoding (trace::TraceBuffer) spends 6 bytes per record and
+ * must materialize the whole trace in RAM; multi-hour sessions and
+ * desktop traces (Figure 7) need a compact, streaming
  * representation. PTPK encodes references in fixed-capacity blocks:
  *
  *  - the kind/class bytes as run-length-encoded meta tokens that

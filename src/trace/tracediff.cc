@@ -22,11 +22,19 @@ sniffTraceFormat(const std::string &path)
                     static_cast<u32>(b[2]) << 16 |
                     static_cast<u32>(b[3]) << 24;
         if (magic == kTraceMagic)
-            return TraceFormat::Pttr;
+            return TraceFormat::RetiredPttr;
         if (magic == kPackedMagic)
             return TraceFormat::Packed;
     }
     return TraceFormat::Din;
+}
+
+LoadResult
+retiredPttrError()
+{
+    return LoadResult::fail(0, "magic",
+                            "PTTR raw traces were retired; no command "
+                            "reads them any more (use din or PTPK)");
 }
 
 u8
@@ -66,23 +74,27 @@ TraceSource::open(const std::string &path)
         }
         return true;
       }
-      case TraceFormat::Pttr: {
-        TraceBuffer buf;
-        if (auto r = TraceBuffer::load(path, buf); !r) {
-            err = r.message();
-            return false;
-        }
-        all = buf.records();
-        return true;
-      }
+      case TraceFormat::RetiredPttr:
+        err = retiredPttrError().message();
+        return false;
       case TraceFormat::Din: {
         // Dinero text carries no RAM/flash class; records read back
         // as class 0 (ram), matching what unpack wrote.
-        s64 n = readDineroFile(path, [&](Addr addr, u8 label) {
-            all.push_back({addr, dinLabelToKind(label), 0});
-        });
+        DineroStats st;
+        s64 n = readDineroFile(
+            path,
+            [&](Addr addr, u8 label) {
+                all.push_back({addr, dinLabelToKind(label), 0});
+            },
+            &st);
         if (n < 0) {
             err = "cannot read file";
+            return false;
+        }
+        if (st.malformed || st.overlong) {
+            err = "not a din trace: " + std::to_string(st.malformed) +
+                  " malformed line(s), " +
+                  std::to_string(st.overlong) + " overlong line(s)";
             return false;
         }
         return true;

@@ -4,9 +4,12 @@
  *
  * The toolbox commands (pack, unpack, info, diff) all start the same
  * way: sniff the file's format from its magic bytes, then pull
- * records out of it. TraceSource wraps that — din and PTTR are
- * materialized (they are in-memory formats anyway), PTPK streams
- * block by block with O(block) memory.
+ * records out of it. Two formats are read: Dinero din text and PTPK.
+ * TraceSource wraps that — din is materialized and must parse
+ * cleanly (a malformed or overlong line makes it an error, so a
+ * non-trace file is never read as an empty trace), PTPK streams
+ * block by block with O(block) memory. A file with the retired raw
+ * PTTR magic is refused by name.
  *
  * diffTraces() is the byte-equivalence oracle the CI determinism
  * jobs script against, so its three outcomes are a contract:
@@ -22,18 +25,22 @@
 #include <string>
 #include <vector>
 
+#include "base/loaderror.h"
 #include "trace/memtrace.h"
 #include "trace/packedtrace.h"
 
 namespace pt::trace
 {
 
-/** On-disk trace formats the toolbox understands. */
-enum class TraceFormat : u8 { Din, Pttr, Packed, Unreadable };
+/** What a trace file's magic bytes say it is. */
+enum class TraceFormat : u8 { Din, Packed, RetiredPttr, Unreadable };
 
 /** Sniffs a trace file's format by its magic bytes; anything that is
- *  not PTTR or PTPK is treated as Dinero text. */
+ *  not PTPK or the retired PTTR is treated as Dinero text. */
 TraceFormat sniffTraceFormat(const std::string &path);
+
+/** The error for a file in the retired raw PTTR format. */
+LoadResult retiredPttrError();
 
 /** Maps a Dinero label (0 read / 1 write / 2 fetch) onto the trace
  *  record kind (0 fetch / 1 read / 2 write), and back. */

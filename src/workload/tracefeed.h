@@ -5,10 +5,11 @@
  * blocks on demand, and a one-call driver that streams a packed
  * trace file through a CacheSweep with O(block) memory.
  *
- * The streamed results are bit-identical to buffering the whole
- * trace in a trace::TraceBuffer and feeding it record by record
- * (the §9 determinism contract); tests/test_packedtrace.cc proves
- * it differentially at jobs in {1, 8}.
+ * This is the one decode path for a packed sweep (`sweep --packed`,
+ * the sweep job). Its results are bit-identical to decoding the whole
+ * trace up front and feeding it record by record (the §9 determinism
+ * contract); tests/test_packedtrace.cc keeps that buffered feed as
+ * the oracle and proves the two equal at jobs in {1, 8}.
  */
 
 #ifndef PT_WORKLOAD_TRACEFEED_H

@@ -252,6 +252,40 @@ TEST(ThreadPoolDefaults, ParseJobsAcceptsOnlyInRangeIntegers)
     EXPECT_EQ(parseJobs(nullptr), 0u);
 }
 
+TEST(ThreadPoolDefaults, ParseCountAndScaleRejectBadText)
+{
+    // The checked parsers behind a fleet's --count and --scale: 0
+    // means "rejected", and the CLI exits 2 naming the flag.
+    constexpr u64 kMax = u64{1} << 20;
+    const struct
+    {
+        const char *text;
+        u64 want;
+    } counts[] = {
+        {"1", 1},       {"1048576", kMax}, {"1048577", 0},
+        {"0", 0},       {"-1", 0},         {"+3", 0},
+        {"abc", 0},     {"8x", 0},         {"", 0},
+        {" 8", 0},      {"4294967295", 0}, {"99999999999999999999", 0},
+    };
+    for (const auto &c : counts)
+        EXPECT_EQ(parseCount(c.text, kMax), c.want) << '"' << c.text << '"';
+    EXPECT_EQ(parseCount(nullptr, kMax), 0u);
+
+    const struct
+    {
+        const char *text;
+        double want;
+    } scales[] = {
+        {"1", 1.0},  {"0.25", 0.25}, {".5", 0.5}, {"2e1", 20.0},
+        {"0", 0.0},  {"0.0", 0.0},   {"-1", 0.0}, {"abc", 0.0},
+        {"1x", 0.0}, {"", 0.0},      {"inf", 0.0}, {"nan", 0.0},
+        {"1e999", 0.0},
+    };
+    for (const auto &c : scales)
+        EXPECT_EQ(parseScale(c.text), c.want) << '"' << c.text << '"';
+    EXPECT_EQ(parseScale(nullptr), 0.0);
+}
+
 TEST(ThreadPoolDefaults, SharedPoolFollowsDefault)
 {
     setDefaultJobs(2);

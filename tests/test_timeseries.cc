@@ -93,17 +93,6 @@ TEST(Timeseries, RefsDomainBucketsByReferenceIndex)
               std::string::npos);
 }
 
-TEST(Timeseries, AddCacheAtTargetsTheInterval)
-{
-    Timeseries ts(100);
-    ts.addCacheAt(3, 10, 2, 1, 1);
-    ts.addCacheAt(3, 5, 0, 0, 0);
-    EXPECT_EQ(ts.rows().at(3).l1Hits, 15u);
-    EXPECT_EQ(ts.rows().at(3).l1Misses, 2u);
-    EXPECT_EQ(ts.rows().at(3).l2Hits, 1u);
-    EXPECT_EQ(ts.rows().at(3).l2Misses, 1u);
-}
-
 TEST(Timeseries, JsonlHeaderAndCsvShapeAgree)
 {
     Timeseries ts(100);

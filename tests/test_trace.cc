@@ -113,24 +113,6 @@ TEST(TraceBufferTest, CapacityBoundsAndDropCount)
     EXPECT_EQ(buf.droppedCount(), 2u);
 }
 
-TEST(TraceBufferTest, FileRoundTrip)
-{
-    TraceBuffer buf;
-    buf.onRef(0x1234, m68k::AccessKind::Fetch, device::RefClass::Ram);
-    buf.onRef(0x10C00010, m68k::AccessKind::Write,
-              device::RefClass::Flash);
-    std::string path = testing::TempDir() + "/pt_trace_test.bin";
-    ASSERT_TRUE(buf.save(path));
-    TraceBuffer back;
-    ASSERT_TRUE(TraceBuffer::load(path, back).ok());
-    ASSERT_EQ(back.records().size(), 2u);
-    EXPECT_EQ(back.records()[0].addr, 0x1234u);
-    EXPECT_EQ(back.records()[0].cls, 0);
-    EXPECT_EQ(back.records()[1].addr, 0x10C00010u);
-    EXPECT_EQ(back.records()[1].cls, 1);
-    std::remove(path.c_str());
-}
-
 TEST(TeeSinkTest, FansOut)
 {
     RefCounter a, b;
@@ -229,17 +211,16 @@ diffTmp(const std::string &name)
     return testing::TempDir() + "/" + name;
 }
 
+/** Writes @p recs as Dinero text (din keeps no RAM/flash class). */
 std::string
-writePttr(const std::string &name, const std::vector<trace::TraceRecord> &recs)
+writeDin(const std::string &name,
+         const std::vector<trace::TraceRecord> &recs)
 {
-    TraceBuffer buf;
-    for (const auto &r : recs)
-        buf.onRef(r.addr,
-                  static_cast<m68k::AccessKind>(r.kind),
-                  r.cls ? device::RefClass::Flash
-                        : device::RefClass::Ram);
     std::string path = diffTmp(name);
-    EXPECT_TRUE(buf.save(path));
+    trace::DineroWriter w(path);
+    EXPECT_TRUE(w.ok());
+    for (const auto &r : recs)
+        w.emit(r.addr, trace::kindToDinLabel(r.kind));
     return path;
 }
 
@@ -255,14 +236,30 @@ writePacked(const std::string &name,
     return path;
 }
 
+std::string
+writeBytes(const std::string &name, const std::string &bytes)
+{
+    std::string path = diffTmp(name);
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    if (f) {
+        EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fclose(f);
+    }
+    return path;
+}
+
+/** @p n records cycling the three kinds; @p classes 2 alternates
+ *  RAM and flash, 1 keeps every record RAM (din's only class). */
 std::vector<trace::TraceRecord>
-sampleRecords(std::size_t n)
+sampleRecords(std::size_t n, unsigned classes = 2)
 {
     std::vector<trace::TraceRecord> recs;
     for (std::size_t i = 0; i < n; ++i) {
         recs.push_back({static_cast<Addr>(0x1000 + i * 4),
                         static_cast<u8>(i % 3),
-                        static_cast<u8>(i % 2)});
+                        static_cast<u8>(i % classes)});
     }
     return recs;
 }
@@ -271,17 +268,17 @@ sampleRecords(std::size_t n)
 
 TEST(TraceDiff, IdenticalAcrossFormats)
 {
-    auto recs = diffutil::sampleRecords(300);
-    std::string pttr = diffutil::writePttr("diff_a.pttr", recs);
+    auto recs = diffutil::sampleRecords(300, 1);
+    std::string din = diffutil::writeDin("diff_a.din", recs);
     std::string packed = diffutil::writePacked("diff_a.ptpk", recs, 64);
 
-    auto same = trace::diffTraces(pttr, pttr);
+    auto same = trace::diffTraces(packed, packed);
     EXPECT_EQ(same.outcome, trace::DiffOutcome::Identical);
     EXPECT_EQ(same.records, 300u);
 
     // Same record sequence in different containers is identical: the
     // diff compares records, not bytes.
-    auto cross = trace::diffTraces(pttr, packed);
+    auto cross = trace::diffTraces(din, packed);
     EXPECT_EQ(cross.outcome, trace::DiffOutcome::Identical);
     EXPECT_EQ(cross.records, 300u);
 }
@@ -289,9 +286,9 @@ TEST(TraceDiff, IdenticalAcrossFormats)
 TEST(TraceDiff, DivergenceAndLengthMismatchDiffer)
 {
     auto recs = diffutil::sampleRecords(100);
-    std::string a = diffutil::writePttr("diff_b1.pttr", recs);
+    std::string a = diffutil::writePacked("diff_b1.ptpk", recs, 16);
     recs[57].addr ^= 4;
-    std::string b = diffutil::writePttr("diff_b2.pttr", recs);
+    std::string b = diffutil::writePacked("diff_b2.ptpk", recs, 16);
 
     auto res = trace::diffTraces(a, b);
     EXPECT_EQ(res.outcome, trace::DiffOutcome::Differ);
@@ -301,7 +298,7 @@ TEST(TraceDiff, DivergenceAndLengthMismatchDiffer)
     // A strict prefix differs too (trailing records are a divergence).
     auto shorter = diffutil::sampleRecords(100);
     shorter.resize(80);
-    std::string c = diffutil::writePttr("diff_b3.pttr", shorter);
+    std::string c = diffutil::writePacked("diff_b3.ptpk", shorter, 16);
     auto pre = trace::diffTraces(a, c);
     EXPECT_EQ(pre.outcome, trace::DiffOutcome::Differ);
     EXPECT_EQ(pre.records, 80u);
@@ -310,21 +307,20 @@ TEST(TraceDiff, DivergenceAndLengthMismatchDiffer)
 TEST(TraceDiff, UnreadableAndCorruptAreErrors)
 {
     auto recs = diffutil::sampleRecords(20);
-    std::string good = diffutil::writePttr("diff_c.pttr", recs);
+    std::string good = diffutil::writePacked("diff_c.ptpk", recs, 8);
 
     // Missing file.
     auto missing =
-        trace::diffTraces(good, diffutil::diffTmp("diff_missing.pttr"));
+        trace::diffTraces(good, diffutil::diffTmp("diff_missing.ptpk"));
     EXPECT_EQ(missing.outcome, trace::DiffOutcome::Error);
     EXPECT_FALSE(missing.detail.empty());
 
-    // Truncated PTTR: header claims more records than the payload
-    // holds.
-    std::string bad = diffutil::diffTmp("diff_trunc.pttr");
+    // Truncated PTPK: the footer index is cut off.
+    std::string bad = diffutil::diffTmp("diff_trunc.ptpk");
     {
         std::FILE *src = std::fopen(good.c_str(), "rb");
         ASSERT_NE(src, nullptr);
-        std::vector<unsigned char> bytes(64);
+        std::vector<unsigned char> bytes(4096);
         std::size_t n = std::fread(bytes.data(), 1, bytes.size(), src);
         std::fclose(src);
         ASSERT_GT(n, 8u);
@@ -340,6 +336,52 @@ TEST(TraceDiff, UnreadableAndCorruptAreErrors)
     // error, not a difference.
     auto both = trace::diffTraces(bad, bad);
     EXPECT_EQ(both.outcome, trace::DiffOutcome::Error);
+}
+
+TEST(TraceDiff, NonTraceFilesAreErrorsNotEmptyTraces)
+{
+    // A file with no trace magic is read as din, so it must parse as
+    // din: a session log or snapshot is not "an empty trace".
+    std::string good = diffutil::writeDin(
+        "diff_d.din", diffutil::sampleRecords(10, 1));
+    std::string binary = diffutil::writeBytes(
+        "diff_d.snap", std::string("PTSN\x02\0\0\0\xff\x10\n\x01", 12));
+    std::string text =
+        diffutil::writeBytes("diff_d.txt", "2 400100\nnot a trace\n");
+    std::string overlong = diffutil::writeBytes(
+        "diff_d_long.din", "2 400100\n0 " + std::string(300, 'a') + "\n");
+
+    for (const std::string &junk : {binary, text, overlong}) {
+        auto self = trace::diffTraces(junk, junk);
+        EXPECT_EQ(self.outcome, trace::DiffOutcome::Error) << junk;
+        EXPECT_NE(self.detail.find("not a din trace"), std::string::npos)
+            << self.detail;
+        EXPECT_EQ(trace::diffTraces(good, junk).outcome,
+                  trace::DiffOutcome::Error)
+            << junk;
+    }
+}
+
+TEST(TraceDiff, RetiredPttrIsRefusedByName)
+{
+    // A raw PTTR file (magic, count, one 6-byte record) is neither
+    // read nor mistaken for din text: diff and `trace info` refuse it
+    // naming the retirement.
+    std::string pttr = diffutil::writeBytes(
+        "diff_e.pttr",
+        std::string("RTTP\x01\0\0\0\x34\x12\0\0\x00\x00", 14));
+    std::string good = diffutil::writePacked(
+        "diff_e.ptpk", diffutil::sampleRecords(1), 8);
+
+    EXPECT_EQ(trace::sniffTraceFormat(pttr),
+              trace::TraceFormat::RetiredPttr);
+    EXPECT_NE(trace::retiredPttrError().message().find("retired"),
+              std::string::npos);
+    auto res = trace::diffTraces(good, pttr);
+    EXPECT_EQ(res.outcome, trace::DiffOutcome::Error);
+    EXPECT_NE(res.detail.find("PTTR raw traces were retired"),
+              std::string::npos)
+        << res.detail;
 }
 
 } // namespace

@@ -34,25 +34,20 @@
  *   palmtrace sweep BASE [--csv]
  *       the §4 case study: 56-configuration miss rates and Eq 2 times
  *
- *   palmtrace sweep --packed FILE [--in-memory] [--csv]
+ *   palmtrace sweep --packed FILE [--csv]
  *       the same case study fed from a packed PTPK trace file,
- *       streamed block by block with O(block) memory (--in-memory
- *       decodes the whole trace up front instead, for differential
- *       comparison against the streaming path)
- *
- *   palmtrace sweep --sessions [--scale X]
- *       collect and replay the four Table 1 sessions concurrently on
- *       the worker pool and print the per-session measurements
+ *       streamed block by block with O(block) memory
  *
  *   palmtrace trace pack IN OUT [--block N]
  *   palmtrace trace pack --synthetic N OUT [--seed S] [--block N]
- *   palmtrace trace unpack IN OUT [--format din|pttr]
+ *   palmtrace trace unpack IN OUT
  *   palmtrace trace info FILE
- *       packed-trace toolbox: convert Dinero .din or raw PTTR traces
- *       to/from the block-compressed PTPK format (pack autodetects
- *       the input format by its magic bytes; --synthetic packs the
- *       Figure 7 synthetic desktop trace instead of reading a file),
- *       and summarize/verify any trace file
+ *   palmtrace trace diff A B
+ *       packed-trace toolbox: convert Dinero .din traces to/from the
+ *       block-compressed PTPK format (--synthetic packs the Figure 7
+ *       synthetic desktop trace instead of reading a file),
+ *       summarize/verify a trace file, and compare two traces
+ *       record by record
  *
  *   palmtrace replay BASE --pack-out FILE
  *       additionally tee the replayed reference stream into a packed
@@ -195,7 +190,7 @@ struct Args
             "--jobs",   "--scale",
             "--metrics-out", "--trace-out",
             "--packed", "--pack-out",    "--synthetic",
-            "--format", "--block",
+            "--block",
             "--deadline", "--max-retries",
             "--journal",
             "--timeseries-out", "--ts-interval", "--postmortem",
@@ -278,23 +273,19 @@ printUsage(std::FILE *to)
         "  fsck FILE|BASE     artifact integrity check (exit 0/1)\n"
         "  stats FILE|BASE    summarize any log/snapshot/checkpoint\n"
         "  sweep BASE [--csv] the 56-configuration cache case study\n"
-        "  sweep --packed FILE [--in-memory] [--csv]\n"
+        "  sweep --packed FILE [--csv]\n"
         "                     the case study fed from a packed trace,\n"
-        "                     streamed from disk (or decoded up front\n"
-        "                     with --in-memory for differential runs)\n"
-        "  sweep --sessions [--scale X]\n"
-        "                     collect+replay the four Table 1 sessions\n"
-        "                     concurrently, then print the table\n"
+        "                     streamed from disk\n"
         "  trace pack IN OUT [--block N]\n"
-        "                     convert a Dinero .din or raw PTTR trace\n"
-        "                     to the packed PTPK format\n"
+        "                     convert a Dinero .din trace to the\n"
+        "                     packed PTPK format\n"
         "  trace pack --synthetic N OUT [--seed S]\n"
         "                     pack the Fig 7 synthetic desktop trace\n"
-        "  trace unpack IN OUT [--format din|pttr]\n"
-        "                     expand a packed trace (default: din)\n"
-        "  trace info FILE    trace statistics (any trace format)\n"
+        "  trace unpack IN OUT\n"
+        "                     expand a packed trace to din\n"
+        "  trace info FILE    trace statistics (din or PTPK)\n"
         "  trace diff A B     compare two traces record by record\n"
-        "                     (any mix of din/PTTR/PTPK); report the\n"
+        "                     (din and/or PTPK); report the\n"
         "                     first divergence; exit 0 identical,\n"
         "                     1 traces differ, 2 unreadable/corrupt\n"
         "  resume JOURNAL [--jobs N]\n"
@@ -1289,49 +1280,47 @@ class SweepSink : public device::MemRefSink
     cache::CacheSweep &sweep;
 };
 
-/** `sweep --sessions`: the Table 1 batch, sessions fanned out over
- *  the worker pool (each is an independent collect+replay). */
-int
-cmdSweepSessions(const Args &a)
+/**
+ * Prints the 56-row table both sweeps end with: miss rate, T_eff and
+ * the saving over no cache. The no-cache base is Eq 3 over the RAM/
+ * flash split every cache counted (the same sums and formula as
+ * RefCounter::avgMemCycles), so a live sweep and a sweep of its
+ * packed trace print the same bytes.
+ */
+void
+printSweepTable(const Args &a, const char *title,
+                const std::vector<cache::Cache> &caches)
 {
-    double scale = std::atof(a.value("--scale", "1"));
-    if (scale <= 0)
-        scale = 1.0;
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<workload::SessionRunResult> runs =
-        workload::runSessionsParallel(workload::table1Specs(scale));
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+    const cache::CacheStats &any = caches.front().stats();
+    double base = cache::CacheStats::noCacheAccessTime(
+        any.ramAccesses, any.flashAccesses);
 
-    TextTable t("Table 1 sessions (parallel batch)");
-    t.setHeader({"Session", "Events", "RAM refs", "Flash refs",
-                 "Ave mem cyc"});
-    for (const auto &run : runs) {
-        t.addRow({run.name,
-                  std::to_string(run.session.log.records.size()),
-                  std::to_string(run.replay.refs.ramRefs()),
-                  std::to_string(run.replay.refs.flashRefs()),
-                  TextTable::num(run.replay.refs.avgMemCycles(), 3)});
+    TextTable t(title);
+    t.setHeader({"Config", "Miss rate", "T_eff", "vs no cache"});
+    auto &reg = obs::Registry::global();
+    for (const auto &c : caches) {
+        double teff = c.stats().avgAccessTimePaper();
+        t.addRow({c.config().name(),
+                  TextTable::percent(c.stats().missRate(), 3),
+                  TextTable::num(teff, 3),
+                  TextTable::percent(
+                      base > 0 ? 1.0 - teff / base : 0.0, 1)});
+        if (obs::profileSink()) {
+            reg.gauge("cache.sweep." + c.config().name() +
+                      ".miss_rate")
+                .set(c.stats().missRate());
+        }
     }
     if (a.has("--csv"))
         std::printf("%s", t.renderCsv().c_str());
     else
-        std::printf("%s", t.render().c_str());
-    std::printf("%zu sessions in %.2fs with %u jobs\n", runs.size(),
-                secs, defaultJobs());
-    auto &reg = obs::Registry::global();
-    reg.gauge("sessions.seconds").set(secs);
-    reg.gauge("sessions.jobs")
-        .set(static_cast<double>(defaultJobs()));
-    return 0;
+        std::printf("%s\nno-cache baseline: %.3f cycles\n",
+                    t.render().c_str(), base);
 }
 
 /** `sweep --packed`: the 56-configuration case study fed from a
- *  packed PTPK trace instead of a live replay. The default path
- *  streams blocks from disk with O(block) memory; --in-memory decodes
- *  the whole trace up front and feeds it record by record, giving CI
- *  a differential reference for the streaming path. */
+ *  packed PTPK trace instead of a live replay, streamed block by
+ *  block from disk with O(block) memory. */
 int
 cmdSweepPacked(const Args &a, const char *path)
 {
@@ -1362,83 +1351,27 @@ cmdSweepPacked(const Args &a, const char *path)
     }
 
     auto t0 = std::chrono::steady_clock::now();
-    workload::PackedSweepResult res;
-    const char *mode;
-    if (a.has("--in-memory")) {
-        mode = "in-memory";
-        trace::PackedTraceReader reader;
-        if (auto r = reader.open(path); !r) {
-            std::fprintf(stderr, "sweep: %s: %s\n", path,
-                         r.message().c_str());
-            return 1;
-        }
-        // Decode everything first (no reserve from the untrusted
-        // footer count: each accepted block is checksum-verified and
-        // capacity-bounded, so growth stays proportional to real
-        // payload), then feed from memory.
-        std::vector<trace::TraceRecord> all, block;
-        while (reader.nextBlock(block))
-            all.insert(all.end(), block.begin(), block.end());
-        if (auto &r = reader.status(); !r) {
-            std::fprintf(stderr, "sweep: %s: %s\n", path,
-                         r.message().c_str());
-            return 1;
-        }
-        cache::CacheSweep sweep(cache::CacheSweep::paper56());
-        for (const auto &rec : all)
-            sweep.feed(rec.addr, rec.cls == 1);
-        sweep.finish();
-        res.caches = sweep.caches();
-        res.refs = all.size();
-    } else {
-        mode = "streaming";
-        res = workload::sweepPackedFile(
-            path, cache::CacheSweep::paper56(), 0, &gSigint);
-        if (res.interrupted) {
-            std::fprintf(stderr, "sweep: interrupted\n");
-            return kExitInterrupted;
-        }
-        if (!res.status) {
-            std::fprintf(stderr, "sweep: %s: %s\n", path,
-                         res.status.message().c_str());
-            return 1;
-        }
+    workload::PackedSweepResult res = workload::sweepPackedFile(
+        path, cache::CacheSweep::paper56(), 0, &gSigint);
+    if (res.interrupted) {
+        std::fprintf(stderr, "sweep: interrupted\n");
+        return kExitInterrupted;
+    }
+    if (!res.status) {
+        std::fprintf(stderr, "sweep: %s: %s\n", path,
+                     res.status.message().c_str());
+        return 1;
     }
     double secs = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
 
-    // The no-cache baseline needs the RAM/flash split, which every
-    // shard accumulated identically while consuming the stream.
-    const cache::CacheStats &any = res.caches.front().stats();
-    double base = cache::CacheStats::noCacheAccessTime(
-        any.ramAccesses, any.flashAccesses);
-
-    TextTable t("56-configuration sweep from packed trace "
-                "(miss rate %, T_eff cycles)");
-    t.setHeader({"Config", "Miss rate", "T_eff", "vs no cache"});
-    auto &reg = obs::Registry::global();
-    for (const auto &c : res.caches) {
-        double teff = c.stats().avgAccessTimePaper();
-        t.addRow({c.config().name(),
-                  TextTable::percent(c.stats().missRate(), 3),
-                  TextTable::num(teff, 3),
-                  TextTable::percent(
-                      base > 0 ? 1.0 - teff / base : 0.0, 1)});
-        if (obs::profileSink()) {
-            reg.gauge("cache.sweep." + c.config().name() +
-                      ".miss_rate")
-                .set(c.stats().missRate());
-        }
-    }
-    if (a.has("--csv"))
-        std::printf("%s", t.renderCsv().c_str());
-    else
-        std::printf("%s\nno-cache baseline: %.3f cycles\n",
-                    t.render().c_str(), base);
-    std::fprintf(stderr, "%llu refs from %s (%s) in %.2fs\n",
-                 static_cast<unsigned long long>(res.refs), path, mode,
-                 secs);
+    printSweepTable(a,
+                    "56-configuration sweep from packed trace "
+                    "(miss rate %, T_eff cycles)",
+                    res.caches);
+    std::fprintf(stderr, "%llu refs from %s in %.2fs\n",
+                 static_cast<unsigned long long>(res.refs), path, secs);
     if (const char *tsOut = a.value("--timeseries-out")) {
         u64 w = tsIntervalArg(a);
         if (!w) {
@@ -1457,8 +1390,6 @@ cmdSweepPacked(const Args &a, const char *path)
 int
 cmdSweep(const Args &a)
 {
-    if (a.has("--sessions"))
-        return cmdSweepSessions(a);
     if (const char *packed = a.value("--packed"))
         return cmdSweepPacked(a, packed);
     core::Session s;
@@ -1504,27 +1435,9 @@ cmdSweep(const Args &a)
     if (ts && !writeTimeseries(*ts, tsOut, "sweep"))
         return 1;
 
-    TextTable t("56-configuration sweep (miss rate %, T_eff cycles)");
-    t.setHeader({"Config", "Miss rate", "T_eff", "vs no cache"});
-    double base = r.refs.avgMemCycles();
-    auto &reg = obs::Registry::global();
-    for (const auto &c : sweep.caches()) {
-        double teff = c.stats().avgAccessTimePaper();
-        t.addRow({c.config().name(),
-                  TextTable::percent(c.stats().missRate(), 3),
-                  TextTable::num(teff, 3),
-                  TextTable::percent(1.0 - teff / base, 1)});
-        if (obs::profileSink()) {
-            reg.gauge("cache.sweep." + c.config().name() +
-                      ".miss_rate")
-                .set(c.stats().missRate());
-        }
-    }
-    if (a.has("--csv"))
-        std::printf("%s", t.renderCsv().c_str());
-    else
-        std::printf("%s\nno-cache baseline: %.3f cycles\n",
-                    t.render().c_str(), base);
+    printSweepTable(a,
+                    "56-configuration sweep (miss rate %, T_eff cycles)",
+                    sweep.caches());
     return 0;
 }
 
@@ -1584,18 +1497,10 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
         out = ops[2];
     }
 
-    trace::PackedTraceWriter w(out, cap);
-    if (!w.ok()) {
-        std::fprintf(stderr,
-                     "trace pack: cannot open '%s' for writing\n",
-                     out);
-        return 1;
-    }
-
+    // Refuse bad input before opening OUT: the writer publishes
+    // whatever it holds when it goes out of scope.
+    workload::DesktopTraceConfig cfg;
     if (synthetic) {
-        // The Figure 7 synthetic desktop trace, packed directly from
-        // the generator with O(block) memory.
-        workload::DesktopTraceConfig cfg;
         cfg.refs = std::strtoull(synthetic, nullptr, 0);
         if (!cfg.refs) {
             std::fprintf(stderr,
@@ -1604,8 +1509,6 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
             return 2;
         }
         cfg.seed = std::strtoull(a.value("--seed", "7"), nullptr, 0);
-        workload::DesktopTraceGen gen(cfg);
-        gen.generate([&](Addr addr, u8 kind) { w.add(addr, kind, 0); });
     } else {
         switch (sniffTraceFormat(in)) {
           case TraceFormat::Unreadable:
@@ -1617,40 +1520,47 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
                          "trace\n",
                          in);
             return 1;
-          case TraceFormat::Pttr: {
-            trace::TraceBuffer buf;
-            if (auto res = trace::TraceBuffer::load(in, buf); !res) {
-                std::fprintf(stderr, "trace pack: %s: %s\n", in,
-                             res.message().c_str());
-                return 1;
-            }
-            for (const auto &r : buf.records())
-                w.add(r);
+          case TraceFormat::RetiredPttr:
+            std::fprintf(stderr, "trace pack: %s: %s\n", in,
+                         trace::retiredPttrError().message().c_str());
+            return 1;
+          case TraceFormat::Din:
             break;
-          }
-          case TraceFormat::Din: {
-            trace::DineroStats st;
-            s64 n = trace::readDineroFile(
-                in,
-                [&](Addr addr, u8 label) {
-                    w.add(addr, dinLabelToKind(label), 0);
-                },
-                &st);
-            if (n < 0) {
-                std::fprintf(stderr, "trace pack: cannot read '%s'\n",
-                             in);
-                return 1;
-            }
-            if (st.malformed || st.overlong) {
-                std::fprintf(
-                    stderr,
-                    "trace pack: %llu malformed line(s), %llu "
-                    "overlong line(s) in '%s'\n",
-                    static_cast<unsigned long long>(st.malformed),
-                    static_cast<unsigned long long>(st.overlong), in);
-            }
-            break;
-          }
+        }
+    }
+
+    trace::PackedTraceWriter w(out, cap);
+    if (!w.ok()) {
+        std::fprintf(stderr,
+                     "trace pack: cannot open '%s' for writing\n",
+                     out);
+        return 1;
+    }
+
+    if (synthetic) {
+        // The Figure 7 synthetic desktop trace, packed directly from
+        // the generator with O(block) memory.
+        workload::DesktopTraceGen gen(cfg);
+        gen.generate([&](Addr addr, u8 kind) { w.add(addr, kind, 0); });
+    } else {
+        trace::DineroStats st;
+        s64 n = trace::readDineroFile(
+            in,
+            [&](Addr addr, u8 label) {
+                w.add(addr, dinLabelToKind(label), 0);
+            },
+            &st);
+        if (n < 0) {
+            std::fprintf(stderr, "trace pack: cannot read '%s'\n", in);
+            return 1;
+        }
+        if (st.malformed || st.overlong) {
+            std::fprintf(
+                stderr,
+                "trace pack: %llu malformed line(s), %llu "
+                "overlong line(s) in '%s'\n",
+                static_cast<unsigned long long>(st.malformed),
+                static_cast<unsigned long long>(st.overlong), in);
         }
     }
 
@@ -1671,24 +1581,14 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
 }
 
 int
-cmdTraceUnpack(const Args &a, const std::vector<const char *> &ops)
+cmdTraceUnpack(const Args &, const std::vector<const char *> &ops)
 {
     if (ops.size() != 3) {
-        std::fprintf(stderr, "usage: palmtrace trace unpack IN OUT "
-                             "[--format din|pttr]\n");
+        std::fprintf(stderr, "usage: palmtrace trace unpack IN OUT\n");
         return 2;
     }
     const char *in = ops[1];
     const char *out = ops[2];
-    const char *format = a.value("--format", "din");
-    bool toPttr = !std::strcmp(format, "pttr");
-    if (!toPttr && std::strcmp(format, "din")) {
-        std::fprintf(stderr,
-                     "trace unpack: unknown --format '%s' (want din "
-                     "or pttr)\n",
-                     format);
-        return 2;
-    }
 
     trace::PackedTraceReader reader;
     if (auto res = reader.open(in); !res) {
@@ -1696,53 +1596,27 @@ cmdTraceUnpack(const Args &a, const std::vector<const char *> &ops)
                      res.message().c_str());
         return 1;
     }
-
+    trace::DineroWriter w(out);
+    if (!w.ok()) {
+        std::fprintf(stderr,
+                     "trace unpack: cannot open '%s' for writing\n",
+                     out);
+        return 1;
+    }
     std::vector<trace::TraceRecord> block;
     u64 n = 0;
-    if (toPttr) {
-        // PTTR is an in-memory format anyway; materialize and save.
-        trace::TraceBuffer buf;
-        while (reader.nextBlock(block)) {
-            for (const auto &r : block) {
-                buf.onRef(r.addr, static_cast<m68k::AccessKind>(r.kind),
-                          r.cls ? device::RefClass::Flash
-                                : device::RefClass::Ram);
-            }
-            n += block.size();
-        }
-        if (auto &res = reader.status(); !res) {
-            std::fprintf(stderr, "trace unpack: %s: %s\n", in,
-                         res.message().c_str());
-            return 1;
-        }
-        if (!buf.save(out)) {
-            std::fprintf(stderr,
-                         "trace unpack: cannot write '%s'\n", out);
-            return 1;
-        }
-    } else {
-        trace::DineroWriter w(out);
-        if (!w.ok()) {
-            std::fprintf(stderr,
-                         "trace unpack: cannot open '%s' for "
-                         "writing\n",
-                         out);
-            return 1;
-        }
-        while (reader.nextBlock(block)) {
-            for (const auto &r : block)
-                w.emit(r.addr, kindToDinLabel(r.kind));
-            n += block.size();
-        }
-        if (auto &res = reader.status(); !res) {
-            std::fprintf(stderr, "trace unpack: %s: %s\n", in,
-                         res.message().c_str());
-            return 1;
-        }
+    while (reader.nextBlock(block)) {
+        for (const auto &r : block)
+            w.emit(r.addr, kindToDinLabel(r.kind));
+        n += block.size();
     }
-    std::printf("unpacked %llu refs into %s (%s)\n",
-                static_cast<unsigned long long>(n), out,
-                toPttr ? "PTTR" : "din");
+    if (auto &res = reader.status(); !res) {
+        std::fprintf(stderr, "trace unpack: %s: %s\n", in,
+                     res.message().c_str());
+        return 1;
+    }
+    std::printf("unpacked %llu refs into %s (din)\n",
+                static_cast<unsigned long long>(n), out);
     return 0;
 }
 
@@ -1804,21 +1678,10 @@ cmdTraceInfo(const Args &, const std::vector<const char *> &ops)
         row("integrity", "ok (all blocks verified)");
         break;
       }
-      case TraceFormat::Pttr: {
-        trace::TraceBuffer buf;
-        if (auto res = trace::TraceBuffer::load(path, buf); !res) {
-            std::fprintf(stderr, "trace info: %s: %s\n", path,
-                         res.message().c_str());
-            return 1;
-        }
-        for (const auto &r : buf.records())
-            tally(r.kind, r.cls);
-        row("format", "PTTR raw");
-        row("records", num(buf.records().size()));
-        row("file bytes", num(8 + 6 * buf.records().size()));
-        row("bytes/ref", "6.00");
-        break;
-      }
+      case TraceFormat::RetiredPttr:
+        std::fprintf(stderr, "trace info: %s: %s\n", path,
+                     trace::retiredPttrError().message().c_str());
+        return 1;
       case TraceFormat::Din: {
         trace::DineroStats st;
         s64 n = trace::readDineroFile(
@@ -1955,6 +1818,9 @@ reportJob(const char *what, const super::JobResult &r)
     return 0;
 }
 
+/** The most sessions one fleet or submit command may request. */
+constexpr u64 kMaxFleetCount = u64{1} << 20;
+
 /**
  * Deterministic fleet session specs: @p count sessions cycling the
  * four Table 1 presets, each with a per-index seed derived from the
@@ -1988,13 +1854,24 @@ int
 runFleetCommand(const char *what, const Args &a, const char *out,
                 const std::string &endpoint)
 {
-    unsigned count = static_cast<unsigned>(
-        std::strtoul(a.value("--count", "8"), nullptr, 0));
-    if (!count)
-        count = 8;
-    double scale = std::atof(a.value("--scale", "1"));
-    if (scale <= 0)
-        scale = 1.0;
+    const char *countArg = a.value("--count", "8");
+    const auto count =
+        static_cast<unsigned>(parseCount(countArg, kMaxFleetCount));
+    if (!count) {
+        std::fprintf(stderr,
+                     "%s: --count %s: expected an integer in [1, %llu]\n",
+                     what, countArg,
+                     static_cast<unsigned long long>(kMaxFleetCount));
+        return 2;
+    }
+    const char *scaleArg = a.value("--scale", "1");
+    const double scale = parseScale(scaleArg);
+    if (!scale) {
+        std::fprintf(stderr,
+                     "%s: --scale %s: expected a finite number > 0\n",
+                     what, scaleArg);
+        return 2;
+    }
     const u64 seed =
         std::strtoull(a.value("--seed", "1"), nullptr, 0);
     const std::vector<workload::SessionSpec> specs =
