@@ -52,11 +52,17 @@ struct CacheConfig
     /** e.g. "2KB/32B/4way". */
     std::string name() const;
 
+    /** The most lines one cache may hold (a 16 MB cache of 16-byte
+     *  lines). A config read from an untrusted journal must not
+     *  make the simulator allocate without bound. */
+    static constexpr u32 kMaxLines = 1u << 20;
+
     /**
      * Checks the geometry and names the first offending field:
-     * nonzero size/line/associativity, power-of-two line size, size
-     * divisible by line*assoc, and a power-of-two set count (the
-     * indexing mask requires it). @return ok, or field + reason.
+     * nonzero size/line/associativity, power-of-two line size, at
+     * most kMaxLines lines, size divisible by line*assoc, and a
+     * power-of-two set count (the indexing mask requires it).
+     * @return ok, or field + reason.
      */
     LoadResult validate() const;
 
@@ -115,6 +121,8 @@ class Cache
     void reset();
 
   private:
+    friend class CacheSweep; ///< writes the stats its families compute
+
     struct Line
     {
         u64 tag = 0;
@@ -162,16 +170,29 @@ class RefSource
 
 /**
  * Runs many configurations over one reference stream in a single
- * pass, fanning fixed-size reference batches out to per-config
- * shards on a thread pool.
+ * pass, fanning fixed-size reference batches out to shards on a
+ * thread pool.
  *
- * Determinism contract: every cache is an independent shard (own
- * lines, own stats, own seeded RNG) that consumes the full reference
- * stream in arrival order, so per-config results are bit-identical
- * for any job count — jobs only decide which thread walks which
- * shard over the current batch. The differential test
- * (tests/test_parallel.cc) proves this against the sequential
- * baseline for jobs in {1, 2, 8}.
+ * LRU configurations are simulated exactly by stack distance: the
+ * configs that share a (line size, set count) form one *family*,
+ * which keeps one LRU stack per set, as deep as its largest
+ * associativity, and histograms the depth each reference hits at
+ * (or, on a miss, the set's occupancy). Every member's stats follow
+ * from those histograms at finish() by the LRU inclusion property:
+ * an A-way set holds exactly the A most recent lines of its stack.
+ * Before the families run, an MRU-line filter drops each reference
+ * to the same line as the reference before it; that is a depth-0 hit
+ * in every family of the line size and changes no state. FIFO and
+ * Random configs lack the inclusion property and keep one Cache
+ * shard each, fed the full stream.
+ *
+ * Determinism contract: every shard (family or per-config cache)
+ * owns its state and seeded RNG and consumes its stream in arrival
+ * order, so results are bit-identical for any job count and equal to
+ * a standalone Cache per config — jobs only decide which thread
+ * walks which shard over the current batch. tests/test_cache.cc
+ * checks every field against standalone Caches; tests/test_parallel.cc
+ * checks jobs in {1, 2, 8} against each other.
  *
  * Call finish() after the last feed(); results are read through
  * caches().
@@ -211,13 +232,13 @@ class CacheSweep
      */
     u64 feedAll(RefSource &src, CancelToken *cancel = nullptr);
 
-    /** Flushes buffered references; required before reading stats. */
+    /** Flushes buffered references and computes every config's
+     *  stats; required before reading them. */
     void finish();
 
-    /** @return the per-config shards; finish() must have run since
-     *  the last feed(). */
+    /** @return one result per config, in config order; finish() must
+     *  have run since the last feed(). */
     const std::vector<Cache> &caches() const;
-    std::vector<Cache> &mutableCaches();
 
     /** The paper's 56 configurations: 7 sizes (256 B - 16 KB) x line
      *  {16, 32} x associativity {1, 2, 4, 8}, LRU. */
@@ -227,9 +248,19 @@ class CacheSweep
     static const std::vector<u32> &paperSizes();
 
   private:
+    struct Filter;
+    struct Family;
+    struct PolicyShard;
+
     void flush();
 
-    std::vector<Cache> cachesVec;
+    std::vector<Cache> cachesVec; ///< results, in config order
+    std::vector<Filter> filters;  ///< one per LRU line size
+    std::vector<Family> families;
+    std::vector<PolicyShard> policyShards; ///< FIFO and Random configs
+    u64 accesses = 0;
+    u64 flashAccesses = 0;
+    bool settled = true; ///< finish() ran since the last flush
     std::vector<ClassifiedRef> batch;
     unsigned jobsOverride;
     std::unique_ptr<ThreadPool> ownPool; ///< when jobs > 1 was pinned

@@ -1,9 +1,12 @@
 /**
  * @file
  * Cache simulator tests: geometry, replacement policies, the paper's
- * equations, the 56-configuration sweep, and the fully-associative
- * LRU inclusion property (parameterized).
+ * equations, the 56-configuration sweep and its exact oracle (every
+ * config against a standalone Cache), and the fully-associative LRU
+ * inclusion property (parameterized).
  */
+
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +91,30 @@ TEST(CacheConfig, ValidateNamesTheOffendingField)
 
     EXPECT_TRUE(cfg(1024, 32, 2).validate().ok());
     EXPECT_EQ(cfg(1024, 32, 2).validate().message(), "ok");
+}
+
+TEST(CacheConfig, LineCountIsBounded)
+{
+    // 2 GB of 1-byte lines would have a cache allocate 2^31 lines.
+    // Such a config can arrive from a journal on disk, so validate()
+    // refuses it instead of the constructor trying.
+    CacheConfig huge = cfg(0x80000000u, 1, 1);
+    EXPECT_FALSE(huge.valid());
+    EXPECT_EQ(huge.validate().error().field, "sizeBytes");
+    EXPECT_FALSE(cfg(2u << 20, 1, 1).valid());
+    EXPECT_TRUE(cfg(CacheConfig::kMaxLines, 1, 1).valid());
+    EXPECT_TRUE(cfg(16u << 20, 16, 4).valid()); // 2^20 lines
+
+    // Every config the benches, the CLI and the ablations build.
+    for (const CacheConfig &c : CacheSweep::paper56())
+        EXPECT_TRUE(c.valid()) << c.name();
+    for (Policy p : {Policy::Lru, Policy::Fifo, Policy::Random})
+        EXPECT_TRUE(cfg(4096, 32, 2, p).valid());
+    for (u32 size : {1024u, 4096u, 16384u})
+        EXPECT_TRUE(cfg(size, 32, 2).valid());
+    EXPECT_TRUE(cfg(16384, 32, 4).valid());
+    EXPECT_TRUE(cfg(8 * 1024, 32, 4).valid());
+    EXPECT_TRUE(cfg(64 * 1024, 32, 8).valid());
 }
 
 TEST(Cache, ColdMissesThenHits)
@@ -212,6 +239,146 @@ TEST(CacheSweepTest, FeedReachesAllCaches)
     sweep.finish();
     for (const auto &c : sweep.caches())
         EXPECT_EQ(c.stats().accesses, 1000u) << c.config().name();
+}
+
+using cache::ClassifiedRef;
+
+/**
+ * Every field of every config in @p configs, swept at jobs 1, 2 and
+ * 8, equals a standalone Cache fed the same stream. The standalone
+ * caches take the seeds the sweep gives its shards (§9), so Random
+ * configs compare exactly too.
+ */
+void
+expectMatchesStandalone(const std::vector<CacheConfig> &configs,
+                        const std::vector<ClassifiedRef> &refs)
+{
+    std::vector<Cache> oracle;
+    u64 seed = 0xCACEull;
+    for (const CacheConfig &c : configs) {
+        oracle.emplace_back(c, seed);
+        seed += 0x9E3779B97F4A7C15ull;
+    }
+    for (const ClassifiedRef &r : refs) {
+        for (Cache &c : oracle)
+            c.access(r.addr, r.isFlash);
+    }
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        CacheSweep sweep(configs, jobs);
+        for (const ClassifiedRef &r : refs)
+            sweep.feed(r.addr, r.isFlash);
+        sweep.finish();
+        ASSERT_EQ(sweep.caches().size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const CacheStats &want = oracle[i].stats();
+            const CacheStats &got = sweep.caches()[i].stats();
+            const std::string where =
+                configs[i].name() + "/" +
+                cache::policyName(configs[i].policy) +
+                " at jobs=" + std::to_string(jobs);
+            EXPECT_EQ(got.accesses, want.accesses) << where;
+            EXPECT_EQ(got.misses, want.misses) << where;
+            EXPECT_EQ(got.evictions, want.evictions) << where;
+            EXPECT_EQ(got.ramAccesses, want.ramAccesses) << where;
+            EXPECT_EQ(got.ramMisses, want.ramMisses) << where;
+            EXPECT_EQ(got.flashAccesses, want.flashAccesses) << where;
+            EXPECT_EQ(got.flashMisses, want.flashMisses) << where;
+        }
+    }
+}
+
+/** paper56 plus the geometries its families never reach, with FIFO
+ *  and Random configs in the same sweep. */
+std::vector<CacheConfig>
+oracleConfigs()
+{
+    std::vector<CacheConfig> configs = CacheSweep::paper56();
+    for (const CacheConfig &c : {
+             cfg(256, 16, 16),    // deeper than 8, fully associative
+             cfg(4096, 16, 256),  // fully associative, 256 deep
+             cfg(1024, 32, 16),   // 2 sets, 16 deep
+             cfg(64, 1, 1),       // 1-byte lines, direct-mapped
+             cfg(256, 1, 4),      // 1-byte lines, 4-way
+             cfg(16, 1, 16),      // 1-byte lines, one set
+             cfg(4096, 64, 2),    // 64-byte lines
+             cfg(8192, 64, 1),    // 64-byte lines, direct-mapped
+             cfg(4096, 32, 2, Policy::Fifo),
+             cfg(256, 1, 2, Policy::Fifo),
+             cfg(1024, 16, 4, Policy::Random),
+             cfg(256, 16, 8, Policy::Random),
+         })
+        configs.push_back(c);
+    return configs;
+}
+
+TEST(CacheSweepTest, MatchesStandaloneCachesOnDesktopStream)
+{
+    // Long enough to cross three kBatchRefs flushes, so the filter's
+    // previous-line register and the stacks carry across batches.
+    std::vector<ClassifiedRef> refs;
+    workload::DesktopTraceConfig tc;
+    tc.refs = 3 * CacheSweep::kBatchRefs + 137;
+    tc.seed = 4242;
+    workload::DesktopTraceGen gen(tc);
+    gen.generate([&](Addr a, u8) {
+        refs.push_back({a, refs.size() % 3 != 0});
+    });
+    ASSERT_GT(refs.size(), 3 * CacheSweep::kBatchRefs);
+    expectMatchesStandalone(oracleConfigs(), refs);
+}
+
+TEST(CacheSweepTest, MatchesStandaloneOnSameLineRunsOfBothClasses)
+{
+    // Runs of references to one line whose class alternates: the
+    // filter drops all but the first of each run, and the dropped
+    // ones must still count as accesses of their own class.
+    std::vector<ClassifiedRef> refs;
+    Rng rng(17);
+    bool flash = false;
+    while (refs.size() < 2 * CacheSweep::kBatchRefs + 500) {
+        const Addr base = static_cast<Addr>(rng.below(1u << 14)) & ~15u;
+        const u64 run = 1 + rng.below(6);
+        for (u64 k = 0; k < run; ++k) {
+            // Same 16-byte line; the same 1-byte line on even k.
+            refs.push_back({base + (k % 2 ? static_cast<Addr>(k) : 0),
+                            flash});
+            flash = !flash;
+        }
+    }
+    expectMatchesStandalone(oracleConfigs(), refs);
+}
+
+TEST(CacheSweepTest, FirstReferenceToLineZeroIsNotFiltered)
+{
+    // A previous-line register that started at line 0 would drop the
+    // first reference as a repeat and lose its cold miss.
+    const std::vector<ClassifiedRef> refs = {
+        {0x0, false}, {0x0, true},  {0x4, false},  {0x100, true},
+        {0x0, false}, {0x200, true}, {0x0, false}, {0x4000, false},
+    };
+    expectMatchesStandalone(oracleConfigs(), refs);
+
+    CacheSweep sweep({cfg(256, 16, 1)}, 1);
+    sweep.feed(0x0, false);
+    sweep.finish();
+    EXPECT_EQ(sweep.caches()[0].stats().misses, 1u);
+}
+
+TEST(CacheSweepTest, TopLineOfTheAddressSpace)
+{
+    // With 1-byte lines a line is the whole 32-bit address, so a
+    // class bit packed into a shifted 32-bit line would collide
+    // 0xFFFFFFFF with 0x7FFFFFFF. Both land in the same sets.
+    std::vector<ClassifiedRef> refs;
+    const Addr addrs[] = {0xFFFFFFFFu, 0x7FFFFFFFu, 0xFFFFFFF0u,
+                          0xFFFFFFFEu, 0x0u,        0xFFFFFFFFu,
+                          0x7FFFFFFFu, 0xFFFFFF00u, 0xFFFFFFC0u};
+    for (int round = 0; round < 50; ++round) {
+        for (std::size_t k = 0; k < std::size(addrs); ++k)
+            refs.push_back({addrs[(k * 5 + round) % std::size(addrs)],
+                            (k + round) % 2 == 0});
+    }
+    expectMatchesStandalone(oracleConfigs(), refs);
 }
 
 /** Fully-associative LRU inclusion: bigger cache never misses more. */

@@ -690,6 +690,23 @@ TEST(SweepJob, ResumeRefusesInvalidJournalledConfig)
         << res.error;
 }
 
+TEST(SweepJob, ResumeRefusesOversizedJournalledConfig)
+{
+    // 2 GB of 1-byte lines passes every other geometry check; the
+    // cache model would allocate 2^31 lines for it. The line-count
+    // bound makes it a structured error before anything is built.
+    const std::string trace =
+        writeSyntheticPacked(tmpFile("super_sweep_huge.ptpk"), 200, 4);
+    auto res = super::resumeJob(
+        sweepJournalWith("super_sweep_huge", trace, 0x80000000u, 1, 1, 0),
+        super::JobOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("sizeBytes"), std::string::npos)
+        << res.error;
+    EXPECT_NE(res.error.find("lines exceed"), std::string::npos)
+        << res.error;
+}
+
 TEST(RetiredJobKind, JournalsLoadButDoNotResume)
 {
     // Kinds 1 and 3 stay reserved so later kinds keep their numbers:
