@@ -1,17 +1,11 @@
 /**
  * @file
  * Emulator performance report: emulated instruction throughput
- * (MIPS), guest system-call cost, and full-session replay speed,
- * each measured under BOTH execution engines — the decode-every-time
- * interpreter and the basic-block translation cache (DESIGN.md §15).
- *
- * The translator is only allowed to be fast because it is identical:
- * every timed comparison doubles as a differential check (same
- * instruction count, same guest cycles, same reference totals, same
- * final-state fingerprint), and the report fails unless the
- * translation cache delivers >= 1.5x instruction throughput on the
- * desktop-mix compute workload. Everything is published through the
- * metrics registry (`--metrics-out FILE`).
+ * (MIPS) on the desktop-mix compute kernel, guest system-call cost,
+ * and full-session replay speed of the m68k interpreter. One check
+ * guards the MIPS figure: the compute kernel must retire exactly its
+ * instruction count. Everything is published through the metrics
+ * registry (`--metrics-out FILE`).
  */
 
 #include <chrono>
@@ -22,7 +16,6 @@
 #include "bench/benchutil.h"
 #include "core/palmsim.h"
 #include "m68k/codebuilder.h"
-#include "m68k/execmode.h"
 #include "os/guestrun.h"
 #include "os/pilotos.h"
 
@@ -62,42 +55,35 @@ emitComputeKernel(m68k::CodeBuilder &b, u32 iters)
     b.stop(0x2700);
 }
 
-/** One engine's measurement of a guest program. */
-struct EngineRun
+/** One measurement of a guest program. */
+struct KernelRun
 {
     double seconds = 0;
     u64 instructions = 0;
-    u64 cycles = 0;     ///< guest CPU cycles consumed
-    u64 refs = 0;       ///< bus references observed
     double mips() const
     {
         return static_cast<double>(instructions) / seconds / 1e6;
     }
 };
 
-EngineRun
-runKernel(m68k::ExecMode mode, u32 iters, unsigned repeats,
+KernelRun
+runKernel(u32 iters, unsigned repeats,
           const std::function<void(m68k::CodeBuilder &, u32)> &emit)
 {
     device::Device dev;
     os::setupDevice(dev);
-    dev.cpu().setExecMode(mode);
     os::GuestRunner runner(dev);
 
     auto body = [&](m68k::CodeBuilder &b) { emit(b, iters); };
-    runner.run(body); // warm-up: page in, translate, settle
+    runner.run(body); // warm-up: page in, settle
 
-    EngineRun r;
+    KernelRun r;
     u64 i0 = dev.instructionsRetired();
-    u64 c0 = dev.cpu().totalCycles();
-    u64 r0 = dev.bus().totalRefs();
     auto t0 = std::chrono::steady_clock::now();
     for (unsigned n = 0; n < repeats; ++n)
         runner.run(body);
     r.seconds = secondsSince(t0);
     r.instructions = dev.instructionsRetired() - i0;
-    r.cycles = dev.cpu().totalCycles() - c0;
-    r.refs = dev.bus().totalRefs() - r0;
     return r;
 }
 
@@ -109,18 +95,13 @@ main(int argc, char **argv)
     using namespace pt;
     auto args = bench::BenchArgs::parse(argc, argv);
     setLogQuiet(true);
-    bench::banner("Emulator performance",
-                  "interpreter vs translation cache");
+    bench::banner("Emulator performance", "m68k interpreter");
 
     const u32 iters = static_cast<u32>(400'000 * args.scale);
     const unsigned repeats = 3;
 
     // --- desktop-mix compute throughput ---
-    EngineRun ci = runKernel(m68k::ExecMode::Interp, iters, repeats,
-                             emitComputeKernel);
-    EngineRun ct = runKernel(m68k::ExecMode::Translate, iters,
-                             repeats, emitComputeKernel);
-    double speedup = ct.mips() / ci.mips();
+    KernelRun compute = runKernel(iters, repeats, emitComputeKernel);
 
     // --- guest system-call round-trip ---
     auto emitSyscalls = [](m68k::CodeBuilder &b, u32 n) {
@@ -134,89 +115,44 @@ main(int argc, char **argv)
         b.stop(0x2700);
     };
     const u32 calls = static_cast<u32>(20'000 * args.scale);
-    EngineRun si = runKernel(m68k::ExecMode::Interp, calls, repeats,
-                             emitSyscalls);
-    EngineRun st = runKernel(m68k::ExecMode::Translate, calls,
-                             repeats, emitSyscalls);
-    double usPerCallI = si.seconds * 1e6 / (calls * repeats);
-    double usPerCallT = st.seconds * 1e6 / (calls * repeats);
+    KernelRun sys = runKernel(calls, repeats, emitSyscalls);
+    double usPerCall = sys.seconds * 1e6 / (calls * repeats);
 
-    // --- full-session replay (collect once, replay per engine) ---
+    // --- full-session replay ---
     workload::UserModelConfig cfg;
     cfg.seed = 5;
     cfg.interactions = 5;
     cfg.meanIdleTicks = 2'000;
-    m68k::setDefaultExecMode(m68k::ExecMode::Interp);
     core::Session session = core::PalmSimulator::collect(cfg);
+    auto t0 = std::chrono::steady_clock::now();
+    core::ReplayResult replay = core::PalmSimulator::replaySession(session);
+    double replaySeconds = secondsSince(t0);
+    double replayMips =
+        static_cast<double>(replay.instructions) / replaySeconds / 1e6;
 
-    auto replayWith = [&](m68k::ExecMode mode, EngineRun *out) {
-        m68k::setDefaultExecMode(mode);
-        auto t0 = std::chrono::steady_clock::now();
-        core::ReplayResult r = core::PalmSimulator::replaySession(session);
-        out->seconds = secondsSince(t0);
-        out->instructions = r.instructions;
-        out->cycles = r.cycles;
-        out->refs = r.refs.totalRefs();
-        return r.finalState.fingerprint();
-    };
-    EngineRun ri, rt;
-    u64 fpInterp = replayWith(m68k::ExecMode::Interp, &ri);
-    u64 fpTrans = replayWith(m68k::ExecMode::Translate, &rt);
-    m68k::setDefaultExecMode(m68k::ExecMode::Interp);
-    double replaySpeedup = ri.seconds / rt.seconds;
-
-    TextTable t("Emulator — interpreter vs translation cache");
-    t.setHeader({"Metric", "interp", "translate"});
-    t.addRow({"compute MIPS", TextTable::num(ci.mips(), 1),
-              TextTable::num(ct.mips(), 1)});
-    t.addRow({"compute speedup", "1.00x",
-              TextTable::num(speedup, 2) + "x"});
-    t.addRow({"syscall round-trip (us)", TextTable::num(usPerCallI, 2),
-              TextTable::num(usPerCallT, 2)});
-    t.addRow({"session replay (s)", TextTable::num(ri.seconds, 3),
-              TextTable::num(rt.seconds, 3)});
-    t.addRow({"replay MIPS",
-              TextTable::num(static_cast<double>(ri.instructions) /
-                                 ri.seconds / 1e6, 1),
-              TextTable::num(static_cast<double>(rt.instructions) /
-                                 rt.seconds / 1e6, 1)});
+    TextTable t("Emulator — m68k interpreter");
+    t.setHeader({"Metric", "value"});
+    t.addRow({"compute MIPS", TextTable::num(compute.mips(), 1)});
+    t.addRow({"syscall round-trip (us)", TextTable::num(usPerCall, 2)});
+    t.addRow({"session replay (s)", TextTable::num(replaySeconds, 3)});
+    t.addRow({"replay MIPS", TextTable::num(replayMips, 1)});
     std::printf("%s\n", t.render().c_str());
     if (args.csv)
         std::printf("%s\n", t.renderCsv().c_str());
 
     auto &reg = obs::Registry::global();
-    reg.gauge("emulator.interp_mips").set(ci.mips());
-    reg.gauge("emulator.translate_mips").set(ct.mips());
-    reg.gauge("emulator.translate_speedup").set(speedup);
-    reg.gauge("emulator.syscall_us_interp").set(usPerCallI);
-    reg.gauge("emulator.syscall_us_translate").set(usPerCallT);
-    reg.gauge("emulator.replay_seconds_interp").set(ri.seconds);
-    reg.gauge("emulator.replay_seconds_translate").set(rt.seconds);
-    reg.gauge("emulator.replay_speedup").set(replaySpeedup);
+    reg.gauge("emulator.interp_mips").set(compute.mips());
+    reg.gauge("emulator.syscall_us_interp").set(usPerCall);
+    reg.gauge("emulator.replay_seconds_interp").set(replaySeconds);
 
-    // Differential identity: the speed columns above are only
-    // comparable (and the translator only shippable) if both engines
-    // executed the exact same guest work.
-    bool sameCompute = ci.instructions == ct.instructions &&
-                       ci.cycles == ct.cycles && ci.refs == ct.refs;
-    bool sameSyscall = si.instructions == st.instructions &&
-                       si.cycles == st.cycles && si.refs == st.refs;
-    bool sameReplay = ri.instructions == rt.instructions &&
-                      ri.cycles == rt.cycles && ri.refs == rt.refs &&
-                      fpInterp == fpTrans;
-    bench::expect("compute kernel work, both engines", "identical",
-                  sameCompute ? "identical" : "diverged", sameCompute);
-    bench::expect("syscall kernel work, both engines", "identical",
-                  sameSyscall ? "identical" : "diverged", sameSyscall);
-    bench::expect("session replay state + refs", "identical",
-                  sameReplay ? "identical" : "diverged", sameReplay);
-    bool fastEnough = speedup >= 1.5;
-    bench::expect("instruction-throughput speedup", ">= 1.5x",
-                  TextTable::num(speedup, 2) + "x", fastEnough);
+    // The MIPS figure is only meaningful if every run reached its
+    // STOP: LEA, MOVE and STOP plus 7 instructions per iteration.
+    const u64 kernelInstructions = (7ull * iters + 3) * repeats;
+    const bool ranKernel = compute.instructions == kernelInstructions;
+    bench::expect("compute kernel instructions retired",
+                  std::to_string(kernelInstructions),
+                  std::to_string(compute.instructions), ranKernel);
 
-    int exitCode =
-        sameCompute && sameSyscall && sameReplay && fastEnough ? 0
-                                                               : 1;
     bench::finishMetrics(args);
-    return exitCode;
+    return ranKernel ? 0 : 1;
 }

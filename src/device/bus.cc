@@ -13,9 +13,7 @@ Bus::Bus(DragonballIo &io)
       romPages(kRomPages, erasedPage()), ramRd(kRamPages),
       romRd(kRomPages), ramWr(kRamPages, nullptr),
       romWr(kRomPages, nullptr),
-      pageKinds(1u << 16, static_cast<u8>(PageKind::Unmapped)),
-      granuleGens(kRamGranules + kRomGranules, 0),
-      granuleHasCode(kRamGranules + kRomGranules, 0)
+      pageKinds(1u << 16, static_cast<u8>(PageKind::Unmapped))
 {
     for (u32 pg = 0; pg < kRamPages; ++pg)
         ramRd[pg] = ramPages[pg]->bytes;
@@ -68,24 +66,6 @@ Bus::note(Addr a, m68k::AccessKind k, RefClass cls)
         refSink->onRef(a, k, cls);
 }
 
-int
-Bus::granuleOf(Addr a) const
-{
-    if (inRam(a))
-        return static_cast<int>(a >> kGranuleShift);
-    if (inRom(a))
-        return static_cast<int>(kRamGranules +
-                                ((a - kRomBase) >> kGranuleShift));
-    return -1;
-}
-
-void
-Bus::invalidateCodeCache()
-{
-    for (u32 &g : granuleGens)
-        ++g;
-}
-
 u8 *
 Bus::materializeRam(u32 pg)
 {
@@ -94,10 +74,6 @@ Bus::materializeRam(u32 pg)
     ramPages[pg] = std::move(fresh);
     ramRd[pg] = w;
     ramWr[pg] = w;
-    // The window's backing bytes moved: any translated block over
-    // this granule must re-resolve against the private copy.
-    if (granuleHasCode[pg])
-        ++granuleGens[pg];
     return w;
 }
 
@@ -109,54 +85,7 @@ Bus::materializeRom(u32 pg)
     romPages[pg] = std::move(fresh);
     romRd[pg] = w;
     romWr[pg] = w;
-    if (granuleHasCode[kRamGranules + pg])
-        ++granuleGens[kRamGranules + pg];
     return w;
-}
-
-bool
-Bus::codeWindow(Addr a, m68k::CodeWindow *out)
-{
-    const u8 *mem;
-    u64 *counter;
-    RefClass cls;
-    std::shared_ptr<const void> pin;
-    Addr base = a & ~(kGranule - 1);
-    if (inRam(a)) {
-        const u32 pg = a >> kMemPageShift;
-        mem = ramRd[pg];
-        pin = ramPages[pg];
-        counter = &nRam;
-        cls = RefClass::Ram;
-    } else if (inRom(a)) {
-        const u32 pg = (a - kRomBase) >> kMemPageShift;
-        mem = romRd[pg];
-        pin = romPages[pg];
-        counter = &nFlash;
-        cls = RefClass::Flash;
-    } else {
-        return false; // MMIO / unmapped pc: interpreter handles it
-    }
-    u32 g = static_cast<u32>(granuleOf(a));
-    granuleHasCode[g] = 1;
-    out->mem = mem;
-    out->base = base;
-    out->len = kGranule;
-    out->gen = &granuleGens[g];
-    out->genSnap = granuleGens[g];
-    out->fetchCounter = counter;
-    out->cls = static_cast<u8>(cls);
-    out->traced = traceOn && refSink != nullptr;
-    out->pin = std::move(pin);
-    return true;
-}
-
-void
-Bus::onCachedFetch(Addr a, u8 cls)
-{
-    if (traceOn && refSink)
-        refSink->onRef(a, m68k::AccessKind::Fetch,
-                       static_cast<RefClass>(cls));
 }
 
 u8
@@ -218,9 +147,6 @@ Bus::write8(Addr a, u8 v)
         if (traceOn && refSink)
             refSink->onRef(a, m68k::AccessKind::Write, RefClass::Ram);
         *ramWritable(a) = v;
-        u32 g = a >> kGranuleShift;
-        if (granuleHasCode[g])
-            ++granuleGens[g];
         return;
     }
     writeSlow8(a, v);
@@ -237,9 +163,6 @@ Bus::write16(Addr a, u16 v)
         u8 *p = ramWritable(a); // even a: both bytes, one page
         p[0] = static_cast<u8>(v >> 8);
         p[1] = static_cast<u8>(v);
-        u32 g = a >> kGranuleShift; // even a: both bytes, one granule
-        if (granuleHasCode[g])
-            ++granuleGens[g];
         return;
     }
     writeSlow16(a, v);
@@ -298,7 +221,6 @@ Bus::writeSlow8(Addr a, u8 v)
     switch (cls) {
       case RefClass::Ram:
         *ramWritable(a) = v;
-        touchCode(a);
         return;
       case RefClass::Flash:
         if (!warnedRomWrite) {
@@ -328,11 +250,9 @@ Bus::writeSlow16(Addr a, u16 v)
     note(a, m68k::AccessKind::Write, cls);
     switch (cls) {
       case RefClass::Ram:
-        // Odd addresses may straddle a page (and granule) boundary.
+        // Odd addresses may straddle a page boundary.
         *ramWritable(a) = static_cast<u8>(v >> 8);
         *ramWritable(a + 1) = static_cast<u8>(v);
-        touchCode(a);
-        touchCode(a + 1);
         return;
       case RefClass::Flash:
         if (!warnedRomWrite) {
@@ -367,7 +287,6 @@ Bus::poke8(Addr a, u8 v)
     switch (classify(a)) {
       case RefClass::Ram:
         *ramWritable(a) = v;
-        touchCode(a);
         return;
       case RefClass::Flash: {
         // Host-side ROM patching shadows the shared flash page with a
@@ -378,7 +297,6 @@ Bus::poke8(Addr a, u8 v)
         if (!w)
             w = materializeRom(pg);
         w[off & kMemPageMask] = v;
-        touchCode(a);
         return;
       }
       default:
@@ -413,7 +331,6 @@ Bus::loadRom(const PagedImage &image)
         romRd[pg] = romPages[pg]->bytes;
         romWr[pg] = nullptr;
     }
-    invalidateCodeCache(); // the backing storage itself moved
 }
 
 void
@@ -432,7 +349,6 @@ Bus::loadRam(const PagedImage &image)
         ramRd[pg] = ramPages[pg]->bytes;
         ramWr[pg] = nullptr;
     }
-    invalidateCodeCache();
 }
 
 void
@@ -486,7 +402,6 @@ Bus::writeRam(Addr off, const void *src, std::size_t len)
         s += take;
         len -= take;
     }
-    invalidateCodeCache();
 }
 
 void
@@ -500,7 +415,6 @@ Bus::clearRam()
         ramRd[pg] = zero->bytes;
         ramWr[pg] = nullptr;
     }
-    invalidateCodeCache();
 }
 
 u32

@@ -16,18 +16,11 @@
  * direct base-pointer accesses; the mixed top page (MMIO + the
  * unmapped hole beneath it) and unmapped pages take the slow path.
  *
- * The bus also backs the CPU's translation cache: it publishes
- * m68k::CodeWindow views of RAM/ROM and maintains per-4KB-granule
- * generation counters that invalidate translated blocks on
- * self-modifying writes, host pokes, image replacement (snapshot /
- * checkpoint restore), and trace-configuration changes.
- *
  * Memory itself is held as shared copy-on-write page blocks
  * (DESIGN.md §16, device/pagemem.h): a fresh bus references the
  * process-wide zero/erased pages, loads share a snapshot's pages,
  * and the first write into a page allocates this device's private
- * copy. The invalidation granule equals the page size, so shadowing
- * a page bumps exactly the granule whose window moved.
+ * copy.
  */
 
 #ifndef PT_DEVICE_BUS_H
@@ -69,28 +62,16 @@ class Bus : public m68k::BusIf
     void write16(Addr a, u16 v) override;
     u8 peek8(Addr a) const override;
     void poke8(Addr a, u8 v) override;
-    bool codeWindow(Addr a, m68k::CodeWindow *out) override;
-    void onCachedFetch(Addr a, u8 cls) override;
 
     /** Installs (or clears, with nullptr) the reference sink. */
-    void
-    setRefSink(MemRefSink *sink)
-    {
-        refSink = sink;
-        invalidateCodeCache(); // traced-fetch windows are now stale
-    }
+    void setRefSink(MemRefSink *sink) { refSink = sink; }
 
     /**
      * Enables per-transaction tracing. This is POSE's "Profiling"
      * switch: the reference counters below always run, but the sink is
      * only invoked while tracing is on.
      */
-    void
-    setTraceEnabled(bool on)
-    {
-        traceOn = on;
-        invalidateCodeCache();
-    }
+    void setTraceEnabled(bool on) { traceOn = on; }
     bool traceEnabled() const { return traceOn; }
 
     /**
@@ -122,8 +103,7 @@ class Bus : public m68k::BusIf
     /**
      * Host-side bulk RAM store (state import). Copy-on-write like
      * any write; chunks that match the current page contents are
-     * skipped so an import over cleared RAM stays O(dirty). Ends by
-     * invalidating the code cache.
+     * skipped so an import over cleared RAM stays O(dirty).
      */
     void writeRam(Addr off, const void *src, std::size_t len);
 
@@ -134,13 +114,6 @@ class Bus : public m68k::BusIf
     /** Private (copied-on-write) pages currently held, RAM + ROM —
      *  the per-device dirty footprint in 4 KB units. */
     u32 dirtyPages() const;
-
-    /**
-     * Invalidates every published code window (bumps all granule
-     * generations). Guest writes and pokes invalidate their own
-     * granule automatically.
-     */
-    void invalidateCodeCache();
 
     // Cumulative reference counters (always on, trace or not).
     u64 ramRefs() const { return nRam; }
@@ -153,13 +126,6 @@ class Bus : public m68k::BusIf
     /** One 64 KB dispatch page's kind. */
     enum class PageKind : u8 { Unmapped, Ram, Rom, Mixed };
 
-    /** Code-window granule size: blocks never straddle one. Must
-     *  equal the COW page size so a page shadow maps to exactly one
-     *  generation counter. */
-    static constexpr u32 kGranuleShift = kMemPageShift;
-    static constexpr u32 kGranule = 1u << kGranuleShift;
-    static constexpr u32 kRamGranules = kRamSize >> kGranuleShift;
-    static constexpr u32 kRomGranules = kRomSize >> kGranuleShift;
     static constexpr u32 kRamPages = kRamSize >> kMemPageShift;
     static constexpr u32 kRomPages = kRomSize >> kMemPageShift;
 
@@ -174,17 +140,6 @@ class Bus : public m68k::BusIf
     u16 readSlow16(Addr a, m68k::AccessKind k);
     void writeSlow8(Addr a, u8 v);
     void writeSlow16(Addr a, u16 v);
-
-    /** @return the code granule covering @p a, or -1 outside RAM/ROM. */
-    int granuleOf(Addr a) const;
-    /** Bumps @p a's granule generation if it holds translated code. */
-    void
-    touchCode(Addr a)
-    {
-        int g = granuleOf(a);
-        if (g >= 0 && granuleHasCode[static_cast<u32>(g)])
-            ++granuleGens[static_cast<u32>(g)];
-    }
 
     /** @return byte @p a of RAM (a must be in RAM). */
     u8
@@ -201,8 +156,7 @@ class Bus : public m68k::BusIf
     }
 
     /** Copies RAM page @p pg for private writing (first write after a
-     *  share). Bumps the granule generation when the page holds
-     *  translated code: the window's backing bytes moved. */
+     *  share). */
     u8 *materializeRam(u32 pg);
     /** Likewise for flash page @p pg (ROM shadowing / host pokes). */
     u8 *materializeRom(u32 pg);
@@ -229,8 +183,6 @@ class Bus : public m68k::BusIf
     mutable std::vector<u8 *> ramWr;
     mutable std::vector<u8 *> romWr;
     std::vector<u8> pageKinds;      ///< 65536 entries, one per 64 KB
-    std::vector<u32> granuleGens;   ///< RAM then ROM granules
-    std::vector<u8> granuleHasCode; ///< granule published a window
     MemRefSink *refSink = nullptr;
     bool traceOn = false;
     bool warnedRomWrite = false;

@@ -60,32 +60,9 @@ Device::serviceHardware()
     syncIrq();
 }
 
-bool
-Device::runFastSpan(u64 limit)
-{
-    // Translate-mode fast span (DESIGN.md §15): between hardware
-    // boundaries nothing the per-instruction serviceHardware/syncIrq
-    // pair observes can change — the pen grid and timer compare are
-    // strictly in the future until @p boundary, and every mutation of
-    // interrupt status/mask or the timer compare (MMIO writes, serial
-    // drains, hardware raises) bumps the io change epoch, which ends
-    // the span. Instruction interleaving, cycle counts, and interrupt
-    // delivery boundaries are therefore identical to the slow loop.
-    u64 boundary = nextHardwareEvent(limit);
-    u32 epoch = ioBlock.changeEpoch();
-    bool any = false;
-    while (cycleCount < boundary && !cpuCore.stopped() &&
-           !cpuCore.halted() && ioBlock.changeEpoch() == epoch) {
-        cycleCount += cpuCore.step();
-        any = true;
-    }
-    return any;
-}
-
 void
 Device::runUntilCycle(u64 target)
 {
-    const bool fast = cpuCore.execMode() == m68k::ExecMode::Translate;
     while (cycleCount < target && !cpuCore.halted()) {
         serviceHardware();
 
@@ -95,8 +72,6 @@ Device::runUntilCycle(u64 target)
             cycleCount = next > cycleCount ? next : target;
             continue;
         }
-        if (fast && runFastSpan(target))
-            continue;
         cycleCount += cpuCore.step();
     }
 
@@ -109,14 +84,11 @@ Device::runUntilCycle(u64 target)
 void
 Device::runUntilIdle(u64 maxCycles)
 {
-    const bool fast = cpuCore.execMode() == m68k::ExecMode::Translate;
     u64 limit = cycleCount + maxCycles;
     while (cycleCount < limit && !cpuCore.halted() && !idle()) {
         serviceHardware();
         if (idle())
             break;
-        if (fast && runFastSpan(limit))
-            continue;
         cycleCount += cpuCore.step();
     }
 }

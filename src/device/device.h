@@ -94,10 +94,6 @@ class Device : public TimeSource
   private:
     /** Propagates the interrupt controller state to the CPU. */
     void syncIrq();
-    /** Translate-mode: executes instructions back to back until the
-     *  next hardware boundary, STOP/halt, or an io change epoch.
-     *  @return true when at least one instruction ran. */
-    bool runFastSpan(u64 limit);
     /** Next cycle at which hardware will do something on its own. */
     u64 nextHardwareEvent(u64 target) const;
     /** Fires due digitizer samples and timer compares. */

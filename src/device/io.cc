@@ -30,10 +30,8 @@ DragonballIo::readReg(u32 offset)
             return 0;
         u16 v = static_cast<u16>(0x100 | serialFifo.front());
         serialFifo.pop_front();
-        if (serialFifo.empty() && (intStat & Irq::Serial)) {
+        if (serialFifo.empty())
             intStat &= ~Irq::Serial; // FIFO drained
-            ++mutEpoch;
-        }
         return v;
       }
       case Reg::IntStat:
@@ -54,34 +52,18 @@ DragonballIo::writeReg(u32 offset, u16 value)
 {
     switch (offset) {
       case Reg::IntMask:
-        if (intMask != value) {
-            intMask = value;
-            ++mutEpoch;
-        }
+        intMask = value;
         break;
       case Reg::IntAck:
-        if (intStat & value) {
-            intStat &= ~value;
-            ++mutEpoch;
-        }
+        intStat &= ~value;
         break;
-      case Reg::TimerCmp: {
-        u32 nu = (timerCmp & 0x0000FFFFu) |
-                 (static_cast<u32>(value) << 16);
-        if (timerCmp != nu) {
-            timerCmp = nu;
-            ++mutEpoch;
-        }
+      case Reg::TimerCmp:
+        timerCmp = (timerCmp & 0x0000FFFFu) |
+                   (static_cast<u32>(value) << 16);
         break;
-      }
-      case Reg::TimerCmp + 2: {
-        u32 nu = (timerCmp & 0xFFFF0000u) | value;
-        if (timerCmp != nu) {
-            timerCmp = nu;
-            ++mutEpoch;
-        }
+      case Reg::TimerCmp + 2:
+        timerCmp = (timerCmp & 0xFFFF0000u) | value;
         break;
-      }
       case Reg::DbgPort:
         if (debugSink)
             debugSink(static_cast<char>(value & 0xFF));
@@ -164,7 +146,6 @@ DragonballIo::loadState(const IoState &s)
     penDownLatch = s.penDownLatch;
     btnState = s.btnState;
     serialFifo.assign(s.serialFifo.begin(), s.serialFifo.end());
-    ++mutEpoch; // checkpoint thaw: force a run-loop resync
 }
 
 void
@@ -178,7 +159,6 @@ DragonballIo::reset()
     penXLatch = penYLatch = penDownLatch = 0;
     btnState = 0;
     serialFifo.clear();
-    ++mutEpoch;
 }
 
 } // namespace pt::device

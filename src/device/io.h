@@ -139,24 +139,7 @@ class DragonballIo
     int irqLevel() const;
 
     /** Raises an interrupt source (hardware side). */
-    void
-    raiseIrq(u16 bits)
-    {
-        if (~intStat & bits) {
-            intStat |= bits;
-            ++mutEpoch;
-        }
-    }
-
-    /**
-     * A counter that advances whenever state feeding the device run
-     * loop changes: interrupt status/mask or the timer compare. The
-     * fast run loop (DESIGN.md §15) executes instructions back to
-     * back while the epoch holds — irqLevel() and the next timer
-     * boundary are provably constant over that span, so skipping the
-     * per-instruction serviceHardware/syncIrq is invisible.
-     */
-    u32 changeEpoch() const { return mutEpoch; }
+    void raiseIrq(u16 bits) { intStat |= bits; }
 
     // --- timer ---
     u32 timerCompare() const { return timerCmp; }
@@ -220,7 +203,6 @@ class DragonballIo
     u16 btnState = 0;
     std::deque<u8> serialFifo;
     std::function<void(char)> debugSink;
-    u32 mutEpoch = 0; ///< see changeEpoch()
 };
 
 } // namespace pt::device

@@ -19,12 +19,6 @@
  *    and serialization become combines over page hashes: O(pages)
  *    pointer work plus O(dirty) byte hashing, instead of re-reading
  *    20 MB per snapshot.
- *
- * The page size deliberately equals the translation cache's
- * invalidation granule (bus.h kGranuleShift): materializing a page
- * moves the bytes the cache's CodeWindows point at, and the shared
- * granule geometry lets the Bus bump exactly the affected generation
- * counter (§15 interaction).
  */
 
 #ifndef PT_DEVICE_PAGEMEM_H

@@ -18,8 +18,6 @@
 #ifndef PT_M68K_BUSIF_H
 #define PT_M68K_BUSIF_H
 
-#include <memory>
-
 #include "base/types.h"
 
 namespace pt::m68k
@@ -31,39 +29,6 @@ enum class AccessKind : u8
     Fetch, ///< instruction stream fetch
     Read,  ///< operand read
     Write, ///< operand write (used in trace records only)
-};
-
-/**
- * A directly readable window of guest code memory, published by a bus
- * that supports the basic-block translation cache (DESIGN.md §15).
- *
- * The window describes everything the CPU needs to serve instruction
- * fetches from host memory with side effects identical to read16():
- * the counter to bump, the trace class to report, and a generation
- * guard. The bus bumps *gen whenever the window's bytes — or the
- * accounting configuration captured in @ref fetchCounter / @ref
- * traced — may have changed; a consumer must compare *gen against
- * genSnap before every use and fall back to the real bus on mismatch.
- */
-struct CodeWindow
-{
-    const u8 *mem = nullptr;     ///< host bytes backing [base, base+len)
-    Addr base = 0;               ///< guest address of mem[0]
-    u32 len = 0;                 ///< window size in bytes
-    const u32 *gen = nullptr;    ///< invalidation guard
-    u32 genSnap = 0;             ///< *gen when the window was issued
-    u64 *fetchCounter = nullptr; ///< per-fetch reference counter
-    u8 cls = 0;                  ///< region class cookie for onCachedFetch
-    bool traced = false;         ///< report each fetch via onCachedFetch
-
-    /**
-     * Keeps the storage behind @ref mem alive. A copy-on-write bus
-     * retires a page's backing block when the page is shadowed; the
-     * generation guard already prevents a stale window from being
-     * *used*, and the pin prevents the dangling bytes from being
-     * *freed* while a cached block still holds the window.
-     */
-    std::shared_ptr<const void> pin;
 };
 
 /** Abstract CPU bus. Implemented by device::Bus. */
@@ -81,34 +46,6 @@ class BusIf
     virtual u8 peek8(Addr addr) const = 0;
     /** Side-effect-free host write. */
     virtual void poke8(Addr addr, u8 value) = 0;
-
-    /**
-     * Publishes a CodeWindow covering @p addr, or returns false when
-     * the address is not plain directly readable memory (MMIO,
-     * unmapped, or a bus that does not support translation). The
-     * default keeps every existing BusIf implementation working —
-     * the CPU simply interprets.
-     */
-    virtual bool
-    codeWindow(Addr addr, CodeWindow *out)
-    {
-        (void)addr;
-        (void)out;
-        return false;
-    }
-
-    /**
-     * Emits the trace side effect of one cached 16-bit instruction
-     * fetch at @p addr — the sink call read16(addr, Fetch) would have
-     * made. Only invoked when the governing CodeWindow has traced
-     * set; @p cls is the window's class cookie.
-     */
-    virtual void
-    onCachedFetch(Addr addr, u8 cls)
-    {
-        (void)addr;
-        (void)cls;
-    }
 
     u32
     read32(Addr addr, AccessKind kind)

@@ -7,7 +7,7 @@ namespace pt::m68k
 {
 
 Cpu::Cpu(BusIf &bus)
-    : busRef(bus), mode(defaultExecMode())
+    : busRef(bus)
 {
 }
 
@@ -21,31 +21,6 @@ Cpu::reset()
     otherSp = 0;
     areg[7] = busRef.peek32(resetVectorBase);
     pcReg = busRef.peek32(resetVectorBase + 4);
-    clearCursor();
-}
-
-void
-Cpu::setExecMode(ExecMode m)
-{
-    mode = m;
-    clearCursor();
-}
-
-translate::CacheStats
-Cpu::translateStats() const
-{
-    return tcache ? tcache->stats() : translate::CacheStats{};
-}
-
-void
-Cpu::clearCursor()
-{
-    curBlk = nullptr;
-    curIdx = 0;
-    fcMem = nullptr;
-    fcGen = nullptr;
-    fcCounter = nullptr;
-    fcTraced = false;
 }
 
 void
@@ -108,7 +83,6 @@ Cpu::loadState(const CpuState &s)
     haltedFlag = false;
     cycleCount = s.cycles;
     instret = s.instructions;
-    clearCursor(); // checkpoint thaw: never trust a pre-restore block
 }
 
 // --- bus helpers -----------------------------------------------------
@@ -159,25 +133,6 @@ Cpu::busWrite32(Addr a, u32 v)
 u16
 Cpu::fetch16()
 {
-    // Extension-word fast path: while the block cursor is live, serve
-    // the fetch from the block's code window with side effects
-    // identical to busRead16(pc, Fetch) — 4 cycles, one counter bump,
-    // one traced-sink call. The generation guard makes the window's
-    // bytes provably equal to memory; any miss (window edge, stale
-    // generation, exception retarget) takes the real bus below.
-    if (fcMem) {
-        Addr a = pcReg & ~1u;
-        u32 off = a - fcBase; // underflow wraps past fcLen: safe miss
-        if (off + 2 <= fcLen && *fcGen == fcGenSnap) {
-            pendingCycles += 4;
-            if (fcCounter)
-                ++*fcCounter;
-            if (fcTraced)
-                busRef.onCachedFetch(a, fcCls);
-            pcReg += 2;
-            return static_cast<u16>((fcMem[off] << 8) | fcMem[off + 1]);
-        }
-    }
     u16 v = busRead16(pcReg, AccessKind::Fetch);
     pcReg += 2;
     return v;
@@ -634,78 +589,6 @@ Cpu::dispatchOp(u16 op)
     }
 }
 
-// --- translation-cache cursor (DESIGN.md §15) -------------------------
-
-void
-Cpu::refillCursor()
-{
-    clearCursor();
-    if (!tcache)
-        tcache = std::make_unique<translate::BlockCache>();
-    u16 key = (srReg & Sr::T) ? 1 : 0;
-    const translate::Block *b = tcache->get(busRef, pcReg, key);
-    if (!b)
-        return; // untranslatable pc: interpret via fetch16()
-    curBlk = b;
-    curIdx = 0;
-    curKey = key;
-    fcMem = b->window.mem;
-    fcBase = b->window.base;
-    fcLen = b->window.len;
-    fcGen = b->window.gen;
-    fcGenSnap = b->window.genSnap;
-    fcCounter = b->window.fetchCounter;
-    fcCls = b->window.cls;
-    fcTraced = b->window.traced;
-}
-
-const translate::MicroOp *
-Cpu::serveCursorOp(const translate::Block *b)
-{
-    // Serve the opcode with read16(pc, Fetch)'s exact side effects.
-    const translate::MicroOp *m = &b->ops[curIdx++];
-    pendingCycles += 4;
-    if (fcCounter)
-        ++*fcCounter;
-    if (fcTraced)
-        busRef.onCachedFetch(pcReg, fcCls);
-    pcReg += 2;
-    return m;
-}
-
-const translate::MicroOp *
-Cpu::nextCachedMicroOp()
-{
-    // Re-validate the cursor: same block generation, pc exactly at
-    // the next micro-op, same SR key. Any branch, exception, SMC
-    // write, or restore fails one of these and refills (or falls
-    // back to the interpreter fetch — behaviorally identical).
-    const translate::Block *b = curBlk;
-    u16 key = (srReg & Sr::T) ? 1 : 0;
-    if (b) {
-        if (curIdx < b->count) {
-            if (*b->window.gen == b->window.genSnap &&
-                pcReg == b->pc + b->ops[curIdx].pcOff && curKey == key)
-                return serveCursorOp(b);
-        } else if (pcReg == b->pc && curKey == key &&
-                   *b->window.gen == b->window.genSnap) {
-            // Loop-back fast path: the block's terminating branch
-            // landed on its own head (the shape of every hot loop).
-            // The generation and key checks above are the same ones
-            // BlockCache::get would apply, so rewinding the cursor is
-            // exactly a cache hit — count it as one.
-            curIdx = 0;
-            tcache->noteHit();
-            return serveCursorOp(b);
-        }
-    }
-    refillCursor();
-    b = curBlk;
-    if (!b)
-        return nullptr;
-    return serveCursorOp(b);
-}
-
 Cycles
 Cpu::step()
 {
@@ -727,20 +610,12 @@ Cpu::step()
         return 4;
 
     lastPcReg = pcReg;
-    const translate::MicroOp *m = nullptr;
-    u16 op;
-    if (mode == ExecMode::Translate && (m = nextCachedMicroOp()))
-        op = m->opcode;
-    else
-        op = fetch16();
+    u16 op = fetch16();
     ++instret;
     if (opcodeSink)
         opcodeSink->onOpcode(op, lastPcReg);
 
-    if (m)
-        execMicro(*m);
-    else
-        dispatchOp(op);
+    dispatchOp(op);
 
     cycleCount += pendingCycles;
     return pendingCycles;

@@ -18,12 +18,9 @@
 #define PT_M68K_CPU_H
 
 #include <functional>
-#include <memory>
 
 #include "base/types.h"
 #include "m68k/busif.h"
-#include "m68k/execmode.h"
-#include "m68k/translate.h"
 
 namespace pt::m68k
 {
@@ -180,18 +177,6 @@ class Cpu
     /** TRAP instructions executed (profiling: system-call rate). */
     u64 trapsTaken() const { return trapCount; }
 
-    /**
-     * Selects the execution engine. Both engines are bit-identical
-     * (DESIGN.md §15); new CPUs sample defaultExecMode(). Switching
-     * is legal at any instruction boundary — it only resets the
-     * block cursor, never any architectural state.
-     */
-    void setExecMode(ExecMode m);
-    ExecMode execMode() const { return mode; }
-
-    /** Translation-cache counters (zeroes while interpreting). */
-    translate::CacheStats translateStats() const;
-
     BusIf &bus() { return busRef; }
 
   private:
@@ -278,48 +263,8 @@ class Cpu
     /** Raises a privilege-violation exception. */
     void privilegeViolation();
 
-    /** Routes one opcode word to its exec group (both engines). */
+    /** Routes one opcode word to its exec group. */
     void dispatchOp(u16 op);
-
-    // --- translation-cache execution (DESIGN.md §15) ---
-    /** Serves the next micro-op from the block cursor, refilling it
-     *  as needed. nullptr means the pc is untranslatable: the caller
-     *  fetch16()es and interprets, which is behaviorally identical. */
-    const translate::MicroOp *nextCachedMicroOp();
-    /** Serves ops[curIdx] with read16(pc, Fetch)'s exact effects. */
-    const translate::MicroOp *serveCursorOp(const translate::Block *b);
-    /** Executes one pre-decoded micro-op; Generic forms (and anything
-     *  the classifier left alone) route through dispatchOp(). */
-    void execMicro(const translate::MicroOp &m);
-    /** Applies fetch16()'s code-window side effects for micro-ops
-     *  whose extension word was pre-decoded at translate time. The
-     *  window is valid by construction: the serving cursor passed the
-     *  generation check and nothing has executed since, so fetch16()
-     *  would have taken the identical fast path. */
-    void consumeExtWord()
-    {
-        pendingCycles += 4;
-        if (fcCounter)
-            ++*fcCounter;
-        if (fcTraced)
-            busRef.onCachedFetch(pcReg, fcCls);
-        pcReg += 2;
-    }
-    /** writeEa's data-register merge, open-coded for the fast forms. */
-    void setDregSz(int r, Size sz, u32 v)
-    {
-        if (sz == Size::B)
-            dreg[r] = (dreg[r] & 0xFFFFFF00u) | (v & 0xFFu);
-        else if (sz == Size::W)
-            dreg[r] = (dreg[r] & 0xFFFF0000u) | (v & 0xFFFFu);
-        else
-            dreg[r] = v;
-    }
-    /** Points the cursor at a live block covering pcReg (or clears
-     *  it, leaving the interpreter fetch path). */
-    void refillCursor();
-    /** Invalidates the cursor and fetch window (state restores). */
-    void clearCursor();
 
     BusIf &busRef;
     u32 dreg[8] = {};
@@ -340,23 +285,6 @@ class Cpu
     TrapHook trapHook;
     OpcodeSink *opcodeSink = nullptr;
 
-    // --- translation-cache state ---
-    ExecMode mode;
-    std::unique_ptr<translate::BlockCache> tcache;
-    const translate::Block *curBlk = nullptr; ///< cursor block
-    u32 curIdx = 0;                           ///< next micro-op
-    u16 curKey = 0;                           ///< cursor's SR key
-    // The active fetch window, mirrored from curBlk->window so the
-    // fetch16() fast path touches no pointer chains. fcMem == nullptr
-    // means "no window" — always true while interpreting.
-    const u8 *fcMem = nullptr;
-    Addr fcBase = 0;
-    u32 fcLen = 0;
-    const u32 *fcGen = nullptr;
-    u32 fcGenSnap = 0;
-    u64 *fcCounter = nullptr;
-    u8 fcCls = 0;
-    bool fcTraced = false;
 };
 
 } // namespace pt::m68k

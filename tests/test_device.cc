@@ -294,5 +294,96 @@ TEST(DeviceRun, DeterministicAcrossRuns)
     EXPECT_EQ(runOnce(), runOnce());
 }
 
+// ---------------------------------------------------------------------
+// Region-edge boundary contract: a 16-bit access whose two bytes land
+// in different regions is a bus error (returns 0 / write ignored),
+// never a one-byte-past-the-end host access. These addresses are
+// exactly where the old range classifier indexed ram[kRamSize].
+// ---------------------------------------------------------------------
+
+TEST(BusBoundary, RamEdgeWordAccesses)
+{
+    device::Device dev;
+    device::Bus &bus = dev.bus();
+    bus.poke8(device::kRamSize - 2, 0xCD);
+    bus.poke8(device::kRamSize - 1, 0xAB);
+
+    u64 ram0 = bus.ramRefs();
+    EXPECT_EQ(bus.read16(device::kRamSize - 2, m68k::AccessKind::Read),
+              0xCDABu);
+    EXPECT_EQ(bus.ramRefs(), ram0 + 1);
+
+    // The last byte of RAM cannot start a word access: bus error.
+    u64 total0 = bus.totalRefs();
+    EXPECT_EQ(bus.read16(device::kRamSize - 1, m68k::AccessKind::Read),
+              0u);
+    EXPECT_EQ(bus.totalRefs(), total0);
+
+    // The straddling write is ignored entirely — the old classifier
+    // committed its high byte to ram[kRamSize - 1] and wrote the low
+    // byte out of bounds.
+    bus.write16(device::kRamSize - 1, 0xBEEF);
+    EXPECT_EQ(bus.peek8(device::kRamSize - 1), 0xAB);
+    EXPECT_EQ(bus.totalRefs(), total0);
+
+    // Byte accesses to the last RAM byte remain valid.
+    EXPECT_EQ(bus.read8(device::kRamSize - 1, m68k::AccessKind::Read),
+              0xAB);
+}
+
+TEST(BusBoundary, RomEdgeWordAccesses)
+{
+    device::Device dev;
+    device::Bus &bus = dev.bus();
+    const Addr last = device::kRomBase + device::kRomSize - 1;
+    bus.poke8(last - 1, 0x12);
+    bus.poke8(last, 0x34);
+
+    u64 flash0 = bus.flashRefs();
+    EXPECT_EQ(bus.read16(last - 1, m68k::AccessKind::Read), 0x1234u);
+    EXPECT_EQ(bus.flashRefs(), flash0 + 1);
+
+    u64 total0 = bus.totalRefs();
+    EXPECT_EQ(bus.read16(last, m68k::AccessKind::Read), 0u);
+    EXPECT_EQ(bus.totalRefs(), total0);
+    EXPECT_EQ(bus.read8(last, m68k::AccessKind::Read), 0x34);
+}
+
+TEST(BusBoundary, UnmappedHolesAndMmio)
+{
+    device::Device dev;
+    device::Bus &bus = dev.bus();
+
+    // First byte past RAM, last byte before ROM: both unmapped.
+    u64 total0 = bus.totalRefs();
+    EXPECT_EQ(bus.read8(device::kRamSize, m68k::AccessKind::Read), 0u);
+    EXPECT_EQ(bus.read8(device::kRomBase - 1, m68k::AccessKind::Read),
+              0u);
+    // The hole just below the MMIO window in the mixed top page.
+    EXPECT_EQ(bus.read16(0xFFFFEFFEu, m68k::AccessKind::Read), 0u);
+    EXPECT_EQ(bus.totalRefs(), total0);
+
+    // MMIO still decodes, including the very top register word.
+    u64 mmio0 = bus.mmioRefs();
+    bus.read16(device::kMmioBase + device::Reg::IntStat,
+               m68k::AccessKind::Read);
+    bus.read16(0xFFFFFFFEu, m68k::AccessKind::Read);
+    EXPECT_EQ(bus.mmioRefs(), mmio0 + 2);
+}
+
+TEST(BusBoundary, OddInteriorWordAccessesPreserved)
+{
+    // Interior odd word accesses (not at a region edge) keep their
+    // historical byte-pair semantics.
+    device::Device dev;
+    device::Bus &bus = dev.bus();
+    bus.poke8(0x2001, 0x11);
+    bus.poke8(0x2002, 0x22);
+    EXPECT_EQ(bus.read16(0x2001, m68k::AccessKind::Read), 0x1122u);
+    bus.write16(0x3001, 0xA55A);
+    EXPECT_EQ(bus.peek8(0x3001), 0xA5);
+    EXPECT_EQ(bus.peek8(0x3002), 0x5A);
+}
+
 } // namespace
 } // namespace pt

@@ -41,7 +41,6 @@ class FlatBus : public m68k::BusIf
     write8(Addr a, u8 v) override
     {
         mem[a % mem.size()] = v;
-        ++gen; // coarse invalidation: any write stales every window
     }
 
     void
@@ -52,37 +51,7 @@ class FlatBus : public m68k::BusIf
     }
 
     u8 peek8(Addr a) const override { return mem[a % mem.size()]; }
-
-    void
-    poke8(Addr a, u8 v) override
-    {
-        mem[a % mem.size()] = v;
-        ++gen;
-    }
-
-    /**
-     * Code-window support so CPU-level suites exercise the
-     * translation cache too. FlatBus reads have no counters and no
-     * trace sink, so a window carries only the generation guard —
-     * cached fetches then match read16()'s (absent) side effects.
-     */
-    bool
-    codeWindow(Addr a, m68k::CodeWindow *out) override
-    {
-        constexpr Addr kWin = 1u << 12;
-        Addr base = a & ~(kWin - 1);
-        if (static_cast<std::size_t>(base) + kWin > mem.size())
-            return false; // keep windows clear of address wrapping
-        out->mem = &mem[base];
-        out->base = base;
-        out->len = kWin;
-        out->gen = &gen;
-        out->genSnap = gen;
-        out->fetchCounter = nullptr;
-        out->cls = 0;
-        out->traced = false;
-        return true;
-    }
+    void poke8(Addr a, u8 v) override { mem[a % mem.size()] = v; }
 
     void
     load(Addr at, const std::vector<u8> &bytes)
@@ -93,7 +62,6 @@ class FlatBus : public m68k::BusIf
 
   private:
     std::vector<u8> mem;
-    u32 gen = 0;
 };
 
 /** Assembles, loads and steps short code sequences. */

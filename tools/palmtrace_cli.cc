@@ -86,7 +86,7 @@
  *
  * Exit codes: 0 success, 1 operational failure (corrupt artifact,
  * failed validation), 2 usage error (unknown subcommand, missing
- * operand).
+ * operand, unknown or repeated flag, flag without its value).
  */
 
 #include <chrono>
@@ -112,7 +112,6 @@
 #include "core/palmsim.h"
 #include "device/checkpoint.h"
 #include "m68k/disasm.h"
-#include "m68k/execmode.h"
 #include "obs/flightrec.h"
 #include "obs/profile.h"
 #include "obs/ratewindow.h"
@@ -174,35 +173,50 @@ onSigterm(int)
     gSigterm = 1;
 }
 
+/** Flags that consume the following token as their value. */
+const char *const kValueFlags[] = {
+    "--out",    "--seed",        "--interactions",
+    "--idle",   "--jitter",      "--count",
+    "--jobs",   "--scale",
+    "--metrics-out", "--trace-out",
+    "--packed", "--pack-out",    "--synthetic",
+    "--block",
+    "--deadline", "--max-retries",
+    "--journal",
+    "--timeseries-out", "--ts-interval", "--postmortem",
+    "--metrics", "--timeseries",
+    "--socket", "--tcp", "--max-sessions",
+    "--session-timeout", "--scratch", "--remote",
+};
+
+/** Flags that stand alone. */
+const char *const kBoolFlags[] = {
+    "--beams", "--csv", "--import", "--profile", "--recover",
+    "--save-sessions", "--quiet", "--verbose",
+};
+
 /** Tiny argv scanner. */
 struct Args
 {
     int argc;
     char **argv;
 
-    /** Flags that consume the following token as their value. */
     static bool
     takesValue(const char *flag)
     {
-        static const char *kValueFlags[] = {
-            "--out",    "--seed",        "--interactions",
-            "--idle",   "--jitter",      "--count",
-            "--jobs",   "--scale",
-            "--metrics-out", "--trace-out",
-            "--packed", "--pack-out",    "--synthetic",
-            "--block",
-            "--deadline", "--max-retries",
-            "--journal",
-            "--timeseries-out", "--ts-interval", "--postmortem",
-            "--metrics", "--timeseries",
-            "--exec-mode",
-            "--socket", "--tcp", "--max-sessions",
-            "--session-timeout", "--scratch", "--remote",
-        };
         for (const char *f : kValueFlags)
             if (!std::strcmp(flag, f))
                 return true;
         return false;
+    }
+
+    static bool
+    known(const char *flag)
+    {
+        for (const char *f : kBoolFlags)
+            if (!std::strcmp(flag, f))
+                return true;
+        return takesValue(flag);
     }
 
     const char *
@@ -336,9 +350,6 @@ printUsage(std::FILE *to)
         "  --jobs N             worker threads for parallel stages,\n"
         "                       1..1024 (also: PT_JOBS; 1 forces\n"
         "                       sequential)\n"
-        "  --exec-mode MODE     m68k engine: interp | translate\n"
-        "                       (also: PT_EXEC_MODE; both engines are\n"
-        "                       bit-identical, translate is faster)\n"
         "  --metrics-out FILE   write the metrics registry as JSON\n"
         "  --trace-out FILE     write a Chrome/Perfetto trace timeline\n"
         "  --timeseries-out FILE\n"
@@ -380,24 +391,79 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
+/** @return the candidate within edit distance 2 of @p word that is
+ *  closest to it, or nullptr. */
+template <std::size_t N>
+const char *
+closest(const std::string &word, const char *const (&candidates)[N],
+        const char *best = nullptr)
+{
+    std::size_t bestDist =
+        best ? editDistance(word, best) : 3; // distance 2 or less
+    for (const char *c : candidates) {
+        std::size_t d = editDistance(word, c);
+        if (d < bestDist) {
+            bestDist = d;
+            best = c;
+        }
+    }
+    return best;
+}
+
 int
 unknownSubcommand(const std::string &cmd)
 {
     std::fprintf(stderr, "palmtrace: unknown subcommand '%s'\n",
                  cmd.c_str());
-    const char *best = nullptr;
-    std::size_t bestDist = 3; // suggest within distance 2 only
-    for (const char *s : kSubcommands) {
-        std::size_t d = editDistance(cmd, s);
-        if (d < bestDist) {
-            bestDist = d;
-            best = s;
-        }
-    }
-    if (best)
+    if (const char *best = closest(cmd, kSubcommands))
         std::fprintf(stderr, "did you mean '%s'?\n", best);
     std::fprintf(stderr, "run 'palmtrace help' for the full list\n");
     return 2;
+}
+
+/**
+ * Refuses an argv that Args would read ambiguously: an unknown flag,
+ * a repeated flag (Args::value would silently take the first), or a
+ * value flag with no value after it. @return 0, or 2 after naming the
+ * offending flag on stderr.
+ */
+int
+checkFlags(const Args &a)
+{
+    std::vector<std::string> seen;
+    for (int i = 0; i < a.argc; ++i) {
+        const std::string flag = a.argv[i];
+        if (flag[0] != '-')
+            continue; // operand
+        if (!Args::known(flag.c_str())) {
+            std::fprintf(stderr, "palmtrace: unknown flag '%s'\n",
+                         flag.c_str());
+            if (const char *best = closest(
+                    flag, kValueFlags, closest(flag, kBoolFlags)))
+                std::fprintf(stderr, "did you mean '%s'?\n", best);
+            std::fprintf(stderr,
+                         "run 'palmtrace help' for the full list\n");
+            return 2;
+        }
+        if (std::find(seen.begin(), seen.end(), flag) != seen.end()) {
+            std::fprintf(stderr, "palmtrace: flag '%s' given more "
+                                 "than once\n", flag.c_str());
+            return 2;
+        }
+        seen.push_back(flag);
+        if (Args::takesValue(flag.c_str())) {
+            // A value may be negative ("--jobs -1" is refused by its
+            // own range check) but is never another flag.
+            if (i + 1 == a.argc ||
+                !std::strncmp(a.argv[i + 1], "--", 2)) {
+                std::fprintf(stderr, "palmtrace: flag '%s' needs a "
+                                     "value\n", flag.c_str());
+                return 2;
+            }
+            ++i;
+        }
+    }
+    return 0;
 }
 
 // ---------------------------------------------------------------------
@@ -1471,8 +1537,9 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
     u32 cap = blockCapacityArg(a);
     if (!cap) {
         std::fprintf(stderr,
-                     "trace pack: --block must be in [1, %u]\n",
-                     trace::kPackedMaxBlockCapacity);
+                     "trace pack: --block %s: expected an integer in "
+                     "[1, %u]\n",
+                     a.value("--block"), trace::kPackedMaxBlockCapacity);
         return 2;
     }
 
@@ -1880,7 +1947,9 @@ runFleetCommand(const char *what, const Args &a, const char *out,
     super::JobOptions jo = jobOptionsFrom(a);
     jo.blockCapacity = blockCapacityArg(a);
     if (!jo.blockCapacity) {
-        std::fprintf(stderr, "%s: --block must be in [1, %u]\n", what,
+        std::fprintf(stderr,
+                     "%s: --block %s: expected an integer in [1, %u]\n",
+                     what, a.value("--block"),
                      trace::kPackedMaxBlockCapacity);
         return 2;
     }
@@ -2378,6 +2447,8 @@ main(int argc, char **argv)
         printUsage(stdout);
         return 0;
     }
+    if (int rc = checkFlags(rest))
+        return rc;
 
     // fsck/stats dispatch on artifact magic; the job-journal parser
     // lives above the validate layer and hooks in at startup.
@@ -2419,20 +2490,6 @@ main(int argc, char **argv)
             return 2;
         }
         setDefaultJobs(n);
-    }
-
-    // The m68k execution engine. PT_EXEC_MODE is the environment's
-    // default; --exec-mode wins. Every device this process builds
-    // (replay, fleet items, validation) samples this default.
-    if (const char *em = rest.value("--exec-mode")) {
-        m68k::ExecMode mode;
-        if (!m68k::parseExecMode(em, &mode)) {
-            std::fprintf(stderr,
-                         "palmtrace: --exec-mode %s: expected "
-                         "'interp' or 'translate'\n", em);
-            return 2;
-        }
-        m68k::setDefaultExecMode(mode);
     }
 
     // Observability surfaces: install the registry sink when metrics
