@@ -1,6 +1,7 @@
 #include "threadpool.h"
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -15,22 +16,23 @@ thread_local bool tlOnWorker = false;
 
 } // namespace
 
-u64
-parseCount(const char *s, u64 max)
+std::optional<u64>
+parseCount(const char *s, u64 lo, u64 hi)
 {
     if (!s || *s < '0' || *s > '9')
-        return 0;
+        return std::nullopt;
+    errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(s, &end, 10);
-    if (*end || v == 0 || v > max)
-        return 0;
+    if (*end || errno == ERANGE || v < lo || v > hi)
+        return std::nullopt;
     return v;
 }
 
 unsigned
 parseJobs(const char *s)
 {
-    return static_cast<unsigned>(parseCount(s, kMaxJobs));
+    return static_cast<unsigned>(parseCount(s, 1, kMaxJobs).value_or(0));
 }
 
 double

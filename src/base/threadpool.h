@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -65,10 +66,12 @@ inline constexpr unsigned kMaxJobs = 1024;
 unsigned parseJobs(const char *s);
 
 /**
- * Parses a count option (--jobs, a fleet's --count): a plain decimal
- * integer in [1, @p max]. @return 0 for anything else, as parseJobs.
+ * Parses an integer option (--jobs, a fleet's --count, any integer
+ * flag of the CLI): a plain decimal integer in [@p lo, @p hi].
+ * @return nullopt for anything else — null, empty, signs, spaces,
+ * trailing junk, or out of range (including past 2^64 - 1).
  */
-u64 parseCount(const char *s, u64 max);
+std::optional<u64> parseCount(const char *s, u64 lo, u64 hi);
 
 /**
  * Parses a scale factor (--scale): a plain decimal number that is

@@ -1,6 +1,6 @@
 /**
  * @file
- * The `palmtrace submit` / `fleet --remote` client: drives a resident
+ * The `palmtrace submit` client: drives a resident
  * `palmtrace serve` server and reassembles its streamed results into
  * artifacts byte-identical to a local `palmtrace fleet` run.
  *

@@ -254,8 +254,8 @@ TEST(ThreadPoolDefaults, ParseJobsAcceptsOnlyInRangeIntegers)
 
 TEST(ThreadPoolDefaults, ParseCountAndScaleRejectBadText)
 {
-    // The checked parsers behind a fleet's --count and --scale: 0
-    // means "rejected", and the CLI exits 2 naming the flag.
+    // The checked parsers behind every integer and real flag of the
+    // CLI: a rejected value (0 here) makes it exit 2 naming the flag.
     constexpr u64 kMax = u64{1} << 20;
     const struct
     {
@@ -267,9 +267,21 @@ TEST(ThreadPoolDefaults, ParseCountAndScaleRejectBadText)
         {"abc", 0},     {"8x", 0},         {"", 0},
         {" 8", 0},      {"4294967295", 0}, {"99999999999999999999", 0},
     };
-    for (const auto &c : counts)
-        EXPECT_EQ(parseCount(c.text, kMax), c.want) << '"' << c.text << '"';
-    EXPECT_EQ(parseCount(nullptr, kMax), 0u);
+    for (const auto &c : counts) {
+        EXPECT_EQ(parseCount(c.text, 1, kMax).value_or(0), c.want)
+            << '"' << c.text << '"';
+    }
+    EXPECT_FALSE(parseCount(nullptr, 1, kMax));
+
+    // A lower bound of 0 accepts 0; the full u64 range stops exactly
+    // at 2^64 - 1 instead of saturating.
+    EXPECT_EQ(parseCount("0", 0, 10), std::optional<u64>(0));
+    EXPECT_FALSE(parseCount("11", 0, 10));
+    EXPECT_FALSE(parseCount("-0", 0, 10));
+    EXPECT_FALSE(parseCount("65535", 65536, kMax));
+    EXPECT_EQ(parseCount("18446744073709551615", 0, ~u64{0}),
+              std::optional<u64>(~u64{0}));
+    EXPECT_FALSE(parseCount("18446744073709551616", 0, ~u64{0}));
 
     const struct
     {

@@ -2,97 +2,23 @@
  * @file
  * The palmtrace command-line driver.
  *
- * Subcommands cover the paper's whole workflow on session artifacts
- * saved as <base>.init.snap / <base>.log / <base>.final.snap:
- *
- *   palmtrace collect --out BASE [--seed N] [--interactions N]
- *                     [--idle TICKS] [--beams]
- *       synthesize a volunteer session and save its artifacts
- *
- *   palmtrace info BASE
- *       summarize a saved session (log mix, timestamps, states)
- *
- *   palmtrace replay BASE [--import] [--jitter N] [--recover]
- *                    [--profile]
- *       replay with profiling; print reference and timing measurements
- *       (--recover turns on online divergence detection with
- *       checkpoint-rewind recovery; --profile additionally runs a
- *       two-level cache hierarchy over the reference stream and
- *       publishes per-level counters)
- *
- *   palmtrace validate BASE [--import]
- *       run the paper's two-fold validation and print both reports
- *
- *   palmtrace fsck <FILE | BASE>
- *       verify artifact integrity (frame header, checksum, and full
- *       structural parse); exit 0 when clean, 1 when corrupt
- *
- *   palmtrace stats <FILE | BASE>
- *       summarize any artifact (activity log, snapshot, checkpoint):
- *       record mix, sizes, fingerprints, tick ranges
- *
- *   palmtrace sweep BASE [--csv]
- *       the §4 case study: 56-configuration miss rates and Eq 2 times
- *
- *   palmtrace sweep --packed FILE [--csv]
- *       the same case study fed from a packed PTPK trace file,
- *       streamed block by block with O(block) memory
- *
- *   palmtrace trace pack IN OUT [--block N]
- *   palmtrace trace pack --synthetic N OUT [--seed S] [--block N]
- *   palmtrace trace unpack IN OUT
- *   palmtrace trace info FILE
- *   palmtrace trace diff A B
- *       packed-trace toolbox: convert Dinero .din traces to/from the
- *       block-compressed PTPK format (--synthetic packs the Figure 7
- *       synthetic desktop trace instead of reading a file),
- *       summarize/verify a trace file, and compare two traces
- *       record by record
- *
- *   palmtrace replay BASE --pack-out FILE
- *       additionally tee the replayed reference stream into a packed
- *       PTPK trace file (composable with --profile)
- *
- *   palmtrace disasm [--count N]
- *       disassemble the front of the PilotOS ROM (sanity/debugging)
- *
- *   palmtrace report [--metrics M.json] [--timeseries T.jsonl]
- *                    [--journal J] [--postmortem P.json] [--out FILE]
- *       join a run's observability artifacts into one markdown
- *       report (any subset of inputs; stdout when --out is omitted)
- *
- * Observability options, accepted by every subcommand:
- *
- *   --jobs N             worker threads for the parallel stages, an
- *                        integer in [1, 1024] (PT_JOBS env var sets
- *                        the default; 1 forces fully sequential
- *                        execution)
- *   --metrics-out FILE   write the metrics registry as JSON on exit
- *   --trace-out FILE     record a Chrome trace-event timeline (open in
- *                        Perfetto / chrome://tracing) and write it
- *   --timeseries-out FILE
- *                        simulated-time telemetry: per-interval
- *                        cycles/instructions/refs/cache/energy rows
- *                        as JSONL (or CSV when FILE ends in .csv);
- *                        accepted by replay and sweep
- *   --ts-interval N      timeseries interval width (cycles; refs for
- *                        the sweep's reference-index domain)
- *   --postmortem FILE    arm the flight recorder: on the first
- *                        failure trigger (divergence, watchdog stall,
- *                        quarantine, crash hook, fatal signal) the
- *                        last moments of every thread dump to FILE
- *   --quiet / --verbose  lower / raise log verbosity (see also the
- *                        PT_LOG_LEVEL environment variable)
+ * Every subcommand is one row of the command table (kCommands, at the
+ * end of this file): its handler, its operand synopsis, a one-line
+ * summary, and the typed flags it reads. `palmtrace help`, each
+ * command's usage line and the unknown-subcommand hint are generated
+ * from that table, and main() checks the whole command line against
+ * the row before the handler runs.
  *
  * Exit codes: 0 success, 1 operational failure (corrupt artifact,
  * failed validation), 2 usage error (unknown subcommand, missing
- * operand, unknown or repeated flag, flag without its value).
+ * operand, a flag the subcommand does not take, a repeated flag, a
+ * flag without its value, or a value of the wrong type or out of
+ * range), 130 interrupted.
  */
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <algorithm>
 #include <cstring>
 #include <functional>
@@ -173,205 +99,188 @@ onSigterm(int)
     gSigterm = 1;
 }
 
-/** Flags that consume the following token as their value. */
-const char *const kValueFlags[] = {
-    "--out",    "--seed",        "--interactions",
-    "--idle",   "--jitter",      "--count",
-    "--jobs",   "--scale",
-    "--metrics-out", "--trace-out",
-    "--packed", "--pack-out",    "--synthetic",
-    "--block",
-    "--deadline", "--max-retries",
-    "--journal",
-    "--timeseries-out", "--ts-interval", "--postmortem",
-    "--metrics", "--timeseries",
-    "--socket", "--tcp", "--max-sessions",
-    "--session-timeout", "--scratch", "--remote",
+/** How a flag's value is read and checked. */
+enum FlagType : u8
+{
+    Bool, ///< stands alone
+    Text, ///< any value
+    Int,  ///< a decimal integer in [lo, hi] (parseCount)
+    Real, ///< a finite number > 0 (parseScale)
 };
 
-/** Flags that stand alone. */
-const char *const kBoolFlags[] = {
-    "--beams", "--csv", "--import", "--profile", "--recover",
-    "--save-sessions", "--quiet", "--verbose",
+/** One flag a command reads. */
+struct Flag
+{
+    const char *name;
+    FlagType type;
+    const char *meta; ///< the value's placeholder in usage lines
+    const char *help;
+    u64 lo = 0;
+    u64 hi = 0;
 };
 
-/** Tiny argv scanner. */
+/** The most sessions one fleet or submit command may request. */
+constexpr u64 kMaxFleetCount = u64{1} << 20;
+/** The longest --deadline / --session-timeout, in ms (~49 days);
+ *  longer ones overflow the watchdog's nanosecond clock math. */
+constexpr u64 kMaxMs = 0xFFFFFFFFull;
+
+constexpr Flag kBeams{"--beams", Bool, "", "add IrDA beams to the user model"};
+constexpr Flag kCsv{"--csv", Bool, "", "print the table as CSV"};
+constexpr Flag kImport{"--import", Bool, "", "HotSync-style logical import"};
+constexpr Flag kProfile{"--profile", Bool, "", "also run a two-level cache"};
+constexpr Flag kRecover{"--recover", Bool, "", "rewind on divergence"};
+constexpr Flag kSaveSessions{"--save-sessions", Bool, "",
+                             "also save each collected session"};
+constexpr Flag kQuiet{"--quiet", Bool, "", "no logs or heartbeats"};
+constexpr Flag kVerbose{"--verbose", Bool, "", "debug log lines"};
+
+constexpr Flag kOutBase{"--out", Text, "BASE", "base name of the output"};
+constexpr Flag kOutCsv{"--out", Text, "CSV", "journalled sweep's results"};
+constexpr Flag kOutReport{"--out", Text, "FILE", "report file, not stdout"};
+constexpr Flag kPackOut{"--pack-out", Text, "FILE", "tee the refs into PTPK"};
+constexpr Flag kPacked{"--packed", Text, "FILE", "sweep a PTPK trace"};
+constexpr Flag kJournal{"--journal", Text, "FILE", "job journal (see resume)"};
+constexpr Flag kTimeseriesOut{"--timeseries-out", Text, "FILE",
+                              "simulated-time JSONL (CSV for *.csv)"};
+constexpr Flag kSocket{"--socket", Text, "PATH", "the server's Unix socket"};
+constexpr Flag kScratch{"--scratch", Text, "DIR", "server scratch directory"};
+constexpr Flag kMetricsIn{"--metrics", Text, "FILE", "metrics JSON to read"};
+constexpr Flag kTimeseriesIn{"--timeseries", Text, "FILE",
+                             "timeseries JSONL to read"};
+constexpr Flag kJournalIn{"--journal", Text, "FILE", "job journal to read"};
+constexpr Flag kPostmortemIn{"--postmortem", Text, "FILE",
+                             "flight-recorder bundle to read"};
+constexpr Flag kMetricsOut{"--metrics-out", Text, "FILE",
+                           "write the metrics registry as JSON"};
+constexpr Flag kTraceOut{"--trace-out", Text, "FILE",
+                         "write a Chrome/Perfetto timeline"};
+constexpr Flag kPostmortem{"--postmortem", Text, "FILE",
+                           "arm the flight recorder; dump to FILE"};
+
+constexpr Flag kSeed{"--seed", Int, "N", "random seed", 0, ~u64{0}};
+constexpr Flag kInteractions{"--interactions", Int, "N",
+                             "user interactions", 0, 65536};
+constexpr Flag kIdle{"--idle", Int, "TICKS", "mean idle gap", 0,
+                     0xFFFFFFFFull};
+// Beyond a minute a burst delay no longer resembles a replay burst.
+constexpr Flag kJitter{"--jitter", Int, "TICKS", "delay per event burst", 0,
+                       60 * kTicksPerSecond};
+// One row per interval: below 1/16 of the 2^20 default, the series
+// outgrows memory on a long replay.
+constexpr Flag kTsInterval{"--ts-interval", Int, "N",
+                           "timeseries interval width",
+                           obs::Timeseries::kDefaultIntervalCycles / 16,
+                           u64{1} << 40};
+constexpr Flag kFleetCount{"--count", Int, "N", "sessions in the fleet", 1,
+                           kMaxFleetCount};
+constexpr Flag kScale{"--scale", Real, "X", "session length scale, > 0"};
+constexpr Flag kBlock{"--block", Int, "N", "references per PTPK block", 1,
+                      trace::kPackedMaxBlockCapacity};
+constexpr Flag kSynthetic{"--synthetic", Int, "N", "Fig 7 references", 1,
+                          u64{1} << 32};
+constexpr Flag kDisasmCount{"--count", Int, "N", "instructions to list", 1,
+                            u64{1} << 20};
+constexpr Flag kDeadline{"--deadline", Int, "MS", "item stall deadline", 0,
+                         kMaxMs};
+constexpr Flag kMaxRetries{"--max-retries", Int, "N", "attempts per item", 0,
+                           1000};
+constexpr Flag kTcp{"--tcp", Int, "PORT", "loopback TCP (serve: 0 = any)", 0,
+                    65535};
+constexpr Flag kMaxSessions{"--max-sessions", Int, "N", "admission queue", 1,
+                            kMaxFleetCount};
+constexpr Flag kSessionTimeout{"--session-timeout", Int, "MS",
+                               "per-session deadline", 0, kMaxMs};
+constexpr Flag kJobs{"--jobs", Int, "N", "worker threads (also PT_JOBS)", 1,
+                     kMaxJobs};
+
+/** Flags every command takes; main() reads them. A row that declares
+ *  a flag of the same name gives it its own meaning instead. */
+constexpr Flag kGlobalFlags[] = {kJobs,       kMetricsOut, kTraceOut,
+                                 kPostmortem, kQuiet,      kVerbose};
+
+struct Args;
+
+/** One row of the command table. */
+struct Command
+{
+    const char *name; ///< "replay", or "trace pack" for a trace op
+    int (*run)(const Args &);
+    const char *operands; ///< synopsis of operands and required flags
+    const char *summary;
+    std::vector<Flag> flags;
+    std::size_t minOps = 0, maxOps = 0;
+};
+
+std::vector<std::string> synopsisWords(const Command &c);
+void printWrapped(std::FILE *to, const std::string &lead,
+                  const std::vector<std::string> &words,
+                  std::size_t indent);
+
+/** A command line checked against its row: the operands in order and
+ *  each flag given, with its value already parsed and range-checked. */
 struct Args
 {
-    int argc;
-    char **argv;
-
-    static bool
-    takesValue(const char *flag)
+    struct Value
     {
-        for (const char *f : kValueFlags)
-            if (!std::strcmp(flag, f))
-                return true;
-        return false;
-    }
+        const char *text = ""; ///< as given; "" for a bool flag
+        u64 n = 0;             ///< an Int flag
+        double x = 0;          ///< a Real flag
+        bool global = false;   ///< matched kGlobalFlags, not the row
+    };
 
-    static bool
-    known(const char *flag)
-    {
-        for (const char *f : kBoolFlags)
-            if (!std::strcmp(flag, f))
-                return true;
-        return takesValue(flag);
-    }
-
-    const char *
-    value(const char *flag, const char *fallback = nullptr) const
-    {
-        for (int i = 0; i + 1 < argc; ++i)
-            if (!std::strcmp(argv[i], flag))
-                return argv[i + 1];
-        return fallback;
-    }
+    const Command *cmd = nullptr;
+    std::vector<const char *> ops;
+    std::map<std::string, Value> flags;
 
     bool
     has(const char *flag) const
     {
-        for (int i = 0; i < argc; ++i)
-            if (!std::strcmp(argv[i], flag))
-                return true;
-        return false;
+        return flags.count(flag) != 0;
     }
 
-    /** First non-flag operand after the subcommand. */
     const char *
-    operand() const
+    text(const char *flag) const
     {
-        auto ops = operands();
-        return ops.empty() ? nullptr : ops.front();
+        auto it = flags.find(flag);
+        return it == flags.end() ? nullptr : it->second.text;
     }
 
-    /** All non-flag operands, in order. */
-    std::vector<const char *>
-    operands() const
+    u64
+    num(const char *flag, u64 otherwise) const
     {
-        std::vector<const char *> out;
-        for (int i = 0; i < argc; ++i) {
-            if (argv[i][0] == '-') {
-                if (takesValue(argv[i]))
-                    ++i; // skip the flag's value
-                continue;
-            }
-            out.push_back(argv[i]);
-        }
-        return out;
+        auto it = flags.find(flag);
+        return it == flags.end() ? otherwise : it->second.n;
+    }
+
+    double
+    real(const char *flag, double otherwise) const
+    {
+        auto it = flags.find(flag);
+        return it == flags.end() ? otherwise : it->second.x;
+    }
+
+    /** A global flag's value, unless the row gave the name its own
+     *  meaning. */
+    const char *
+    global(const char *flag) const
+    {
+        auto it = flags.find(flag);
+        return it != flags.end() && it->second.global ? it->second.text
+                                                      : nullptr;
+    }
+
+    /** Prints this command's usage line. @return 2. */
+    int
+    usage() const
+    {
+        printWrapped(stderr, "usage: palmtrace", synopsisWords(*cmd),
+                     17);
+        return 2;
     }
 };
 
-const char *const kSubcommands[] = {
-    "collect", "info", "replay", "validate", "fsck",  "stats",
-    "sweep",   "trace", "resume", "disasm", "report",
-    "fleet",   "serve", "submit",
-};
-
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: palmtrace <subcommand> [options]\n"
-        "\n"
-        "subcommands:\n"
-        "  collect --out BASE [--seed N] [--interactions N]\n"
-        "          [--idle TICKS] [--beams]\n"
-        "                     synthesize a session, save its artifacts\n"
-        "  info BASE          summarize a saved session\n"
-        "  replay BASE [--import] [--jitter N] [--recover] [--profile]\n"
-        "                     replay with profiling measurements\n"
-        "  validate BASE [--import]\n"
-        "                     the paper's two-fold validation\n"
-        "  fsck FILE|BASE     artifact integrity check (exit 0/1)\n"
-        "  stats FILE|BASE    summarize any log/snapshot/checkpoint\n"
-        "  sweep BASE [--csv] the 56-configuration cache case study\n"
-        "  sweep --packed FILE [--csv]\n"
-        "                     the case study fed from a packed trace,\n"
-        "                     streamed from disk\n"
-        "  trace pack IN OUT [--block N]\n"
-        "                     convert a Dinero .din trace to the\n"
-        "                     packed PTPK format\n"
-        "  trace pack --synthetic N OUT [--seed S]\n"
-        "                     pack the Fig 7 synthetic desktop trace\n"
-        "  trace unpack IN OUT\n"
-        "                     expand a packed trace to din\n"
-        "  trace info FILE    trace statistics (din or PTPK)\n"
-        "  trace diff A B     compare two traces record by record\n"
-        "                     (din and/or PTPK); report the\n"
-        "                     first divergence; exit 0 identical,\n"
-        "                     1 traces differ, 2 unreadable/corrupt\n"
-        "  resume JOURNAL [--jobs N]\n"
-        "                     resume a journalled job after a crash,\n"
-        "                     kill, or Ctrl-C: skips finished items,\n"
-        "                     re-runs the rest, finalizes the same\n"
-        "                     output an uninterrupted run writes\n"
-        "  fleet --out BASE [--count N] [--scale X] [--seed S]\n"
-        "        [--block N] [--save-sessions]\n"
-        "                     instantiate a fleet of N devices (shared\n"
-        "                     ROM, copy-on-write RAM), collect+replay a\n"
-        "                     session on each, stream one packed trace\n"
-        "                     per session to BASE-session-<i>.ptpk and\n"
-        "                     a summary CSV to BASE.csv; traces are\n"
-        "                     byte-identical at any --jobs count\n"
-        "  serve --socket PATH [--tcp PORT] [--jobs N]\n"
-        "        [--max-sessions M] [--session-timeout MS]\n"
-        "        [--scratch DIR]\n"
-        "                     resident fleet server: accepts session\n"
-        "                     jobs over the PTSF socket protocol,\n"
-        "                     streams back packed traces and metrics;\n"
-        "                     SIGTERM (or a client shutdown frame)\n"
-        "                     drains in-flight sessions, then exits\n"
-        "  submit --socket PATH --out BASE [--count N] [--scale X]\n"
-        "         [--seed S] [--block N] [--journal FILE]\n"
-        "                     run a fleet through a resident server;\n"
-        "                     artifacts are byte-identical to a local\n"
-        "                     'palmtrace fleet' of the same specs\n"
-        "                     (--tcp PORT instead of --socket talks\n"
-        "                     to a TCP-loopback server)\n"
-        "  fleet --remote PATH ...\n"
-        "                     same as submit --socket PATH\n"
-        "  disasm [--count N] disassemble the PilotOS ROM\n"
-        "  report [--metrics M.json] [--timeseries T.jsonl]\n"
-        "         [--journal J] [--postmortem P.json] [--out FILE]\n"
-        "                     join a run's observability artifacts\n"
-        "                     into one markdown run report\n"
-        "  help               print this message\n"
-        "\n"
-        "supervised-job options (sweep --packed, fleet, submit):\n"
-        "  --journal FILE       write-ahead job journal; enables\n"
-        "                       'palmtrace resume FILE'\n"
-        "  --deadline MS        per-item stall deadline enforced by\n"
-        "                       the watchdog (0 = off)\n"
-        "  --max-retries N      attempts per item before quarantine\n"
-        "\n"
-        "observability options (any subcommand):\n"
-        "  --jobs N             worker threads for parallel stages,\n"
-        "                       1..1024 (also: PT_JOBS; 1 forces\n"
-        "                       sequential)\n"
-        "  --metrics-out FILE   write the metrics registry as JSON\n"
-        "  --trace-out FILE     write a Chrome/Perfetto trace timeline\n"
-        "  --timeseries-out FILE\n"
-        "                       simulated-time telemetry (JSONL, or\n"
-        "                       CSV when FILE ends in .csv); replay\n"
-        "                       and sweep\n"
-        "  --ts-interval N      timeseries interval width in cycles\n"
-        "                       (refs for the sweep domain)\n"
-        "  --postmortem FILE    arm the flight recorder; failure\n"
-        "                       triggers dump the bundle to FILE\n"
-        "  --quiet | --verbose  log verbosity (also: PT_LOG_LEVEL=\n"
-        "                       quiet|warn|info|debug)\n");
-}
-
-int
-usage()
-{
-    printUsage(stderr);
-    return 2;
-}
-
-/** Levenshtein distance, for the unknown-subcommand hint. */
+/** Levenshtein distance, for the "did you mean" hints. */
 std::size_t
 editDistance(const std::string &a, const std::string &b)
 {
@@ -391,78 +300,146 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
-/** @return the candidate within edit distance 2 of @p word that is
- *  closest to it, or nullptr. */
-template <std::size_t N>
-const char *
-closest(const std::string &word, const char *const (&candidates)[N],
-        const char *best = nullptr)
+/** Prints "did you mean" for the candidate within edit distance 2 of
+ *  @p word that is closest to it, if any. */
+void
+suggest(const std::string &word, const std::vector<std::string> &candidates)
 {
-    std::size_t bestDist =
-        best ? editDistance(word, best) : 3; // distance 2 or less
-    for (const char *c : candidates) {
+    const std::string *best = nullptr;
+    std::size_t bestDist = 3;
+    for (const std::string &c : candidates) {
         std::size_t d = editDistance(word, c);
         if (d < bestDist) {
             bestDist = d;
-            best = c;
+            best = &c;
         }
     }
-    return best;
+    if (best)
+        std::fprintf(stderr, "did you mean '%s'?\n", best->c_str());
+    std::fprintf(stderr, "run 'palmtrace help' for the full list\n");
 }
 
-int
-unknownSubcommand(const std::string &cmd)
+/** Prints @p words after @p lead, wrapped at 78 columns with
+ *  continuation lines indented by @p indent. */
+void
+printWrapped(std::FILE *to, const std::string &lead,
+             const std::vector<std::string> &words, std::size_t indent)
 {
-    std::fprintf(stderr, "palmtrace: unknown subcommand '%s'\n",
-                 cmd.c_str());
-    if (const char *best = closest(cmd, kSubcommands))
-        std::fprintf(stderr, "did you mean '%s'?\n", best);
-    std::fprintf(stderr, "run 'palmtrace help' for the full list\n");
-    return 2;
+    std::string line = lead;
+    for (const std::string &w : words) {
+        if (line.size() + 1 + w.size() > 78 &&
+            line.size() > indent) {
+            std::fprintf(to, "%s\n", line.c_str());
+            line.assign(indent - 1, ' ');
+        }
+        line += ' ' + w;
+    }
+    std::fprintf(to, "%s\n", line.c_str());
+}
+
+/** "[--jitter TICKS]", as a usage line lists an optional flag. */
+std::string
+bracketed(const Flag &f)
+{
+    return std::string("[") + f.name + (*f.meta ? " " : "") + f.meta + "]";
+}
+
+/** "replay BASE [--import] [--jitter TICKS] ...": the operands, then
+ *  each flag the synopsis does not already name. */
+std::vector<std::string>
+synopsisWords(const Command &c)
+{
+    std::vector<std::string> words = {c.name};
+    if (*c.operands)
+        words.push_back(c.operands);
+    for (const Flag &f : c.flags) {
+        if (std::strstr(c.operands, (f.name + std::string(" ")).c_str()))
+            continue; // a required flag, named in the synopsis
+        words.push_back(bracketed(f));
+    }
+    return words;
 }
 
 /**
- * Refuses an argv that Args would read ambiguously: an unknown flag,
- * a repeated flag (Args::value would silently take the first), or a
- * value flag with no value after it. @return 0, or 2 after naming the
- * offending flag on stderr.
+ * Checks @p argv (everything after the subcommand) against @p cmd's
+ * row and fills @p a. @return 0, or 2 after naming the offending flag
+ * or value on stderr: an unknown flag (another command's included), a
+ * repeated flag, a value flag with no value, a value of the wrong type
+ * or out of range, or a wrong number of operands.
  */
 int
-checkFlags(const Args &a)
+parseArgs(const Command &cmd, int argc, char **argv, Args &a)
 {
-    std::vector<std::string> seen;
-    for (int i = 0; i < a.argc; ++i) {
-        const std::string flag = a.argv[i];
-        if (flag[0] != '-')
-            continue; // operand
-        if (!Args::known(flag.c_str())) {
-            std::fprintf(stderr, "palmtrace: unknown flag '%s'\n",
-                         flag.c_str());
-            if (const char *best = closest(
-                    flag, kValueFlags, closest(flag, kBoolFlags)))
-                std::fprintf(stderr, "did you mean '%s'?\n", best);
-            std::fprintf(stderr,
-                         "run 'palmtrace help' for the full list\n");
+    a.cmd = &cmd;
+    for (int i = 0; i < argc; ++i) {
+        const std::string name = argv[i];
+        if (name[0] != '-') {
+            a.ops.push_back(argv[i]);
+            continue;
+        }
+        auto lookup = [&](const auto &list) -> const Flag * {
+            for (const Flag &c : list)
+                if (name == c.name)
+                    return &c;
+            return nullptr;
+        };
+        const Flag *f = lookup(cmd.flags);
+        const bool global = !f;
+        if (!f)
+            f = lookup(kGlobalFlags);
+        if (!f) {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", cmd.name,
+                         name.c_str());
+            std::vector<std::string> known;
+            for (const Flag &c : cmd.flags)
+                known.push_back(c.name);
+            for (const Flag &c : kGlobalFlags)
+                known.push_back(c.name);
+            suggest(name, known);
             return 2;
         }
-        if (std::find(seen.begin(), seen.end(), flag) != seen.end()) {
-            std::fprintf(stderr, "palmtrace: flag '%s' given more "
-                                 "than once\n", flag.c_str());
+        if (a.has(f->name)) {
+            std::fprintf(stderr, "%s: flag '%s' given more than once\n",
+                         cmd.name, f->name);
             return 2;
         }
-        seen.push_back(flag);
-        if (Args::takesValue(flag.c_str())) {
-            // A value may be negative ("--jobs -1" is refused by its
-            // own range check) but is never another flag.
-            if (i + 1 == a.argc ||
-                !std::strncmp(a.argv[i + 1], "--", 2)) {
-                std::fprintf(stderr, "palmtrace: flag '%s' needs a "
-                                     "value\n", flag.c_str());
+        Args::Value v;
+        v.global = global;
+        if (f->type != Bool) {
+            // A value may look negative ("--jobs -1" fails its range
+            // check) but is never another flag.
+            if (i + 1 == argc || !std::strncmp(argv[i + 1], "--", 2)) {
+                std::fprintf(stderr, "%s: flag '%s' needs a value\n",
+                             cmd.name, f->name);
                 return 2;
             }
-            ++i;
+            v.text = argv[++i];
         }
+        if (f->type == Int) {
+            auto n = parseCount(v.text, f->lo, f->hi);
+            if (!n) {
+                std::fprintf(stderr,
+                             "%s: %s %s: expected an integer in "
+                             "[%llu, %llu]\n",
+                             cmd.name, f->name, v.text,
+                             static_cast<unsigned long long>(f->lo),
+                             static_cast<unsigned long long>(f->hi));
+                return 2;
+            }
+            v.n = *n;
+        } else if (f->type == Real) {
+            v.x = parseScale(v.text);
+            if (!v.x) {
+                std::fprintf(stderr,
+                             "%s: %s %s: expected a finite number > 0\n",
+                             cmd.name, f->name, v.text);
+                return 2;
+            }
+        }
+        a.flags[f->name] = v;
     }
+    if (a.ops.size() < cmd.minOps || a.ops.size() > cmd.maxOps)
+        return a.usage();
     return 0;
 }
 
@@ -576,16 +553,6 @@ profileHierarchy()
 // ---------------------------------------------------------------------
 // Simulated-time telemetry plumbing shared by replay and sweep.
 
-/** Parses --ts-interval. @return 0 on a bad value (caller reports). */
-u64
-tsIntervalArg(const Args &a)
-{
-    const char *arg = a.value("--ts-interval");
-    if (!arg)
-        return obs::Timeseries::kDefaultIntervalCycles;
-    return std::strtoull(arg, nullptr, 0);
-}
-
 bool
 writeTimeseries(const obs::Timeseries &ts, const char *path,
                 const char *what)
@@ -660,8 +627,6 @@ packedTraceToRefSeries(const char *path, obs::Timeseries &ts,
 
 // ---------------------------------------------------------------------
 
-u32 blockCapacityArg(const Args &a); // defined with the trace toolbox
-
 // Supervised-job plumbing, defined with the resume command.
 super::JobOptions jobOptionsFrom(const Args &a);
 int reportJob(const char *what, const super::JobResult &r);
@@ -669,17 +634,13 @@ int reportJob(const char *what, const super::JobResult &r);
 int
 cmdCollect(const Args &a)
 {
-    const char *out = a.value("--out");
-    if (!out) {
-        std::fprintf(stderr, "collect: --out BASE is required\n");
-        return 2;
-    }
+    const char *out = a.text("--out");
+    if (!out)
+        return a.usage();
     workload::UserModelConfig cfg;
-    cfg.seed = std::strtoull(a.value("--seed", "1"), nullptr, 0);
-    cfg.interactions = static_cast<u32>(
-        std::strtoul(a.value("--interactions", "12"), nullptr, 0));
-    cfg.meanIdleTicks = static_cast<Ticks>(
-        std::strtoul(a.value("--idle", "30000"), nullptr, 0));
+    cfg.seed = a.num("--seed", 1);
+    cfg.interactions = static_cast<u32>(a.num("--interactions", 12));
+    cfg.meanIdleTicks = static_cast<Ticks>(a.num("--idle", 30000));
     if (a.has("--beams"))
         cfg.beamWeight = 0.2;
 
@@ -705,11 +666,7 @@ cmdCollect(const Args &a)
 bool
 loadSession(const Args &a, core::Session &s)
 {
-    const char *base = a.operand();
-    if (!base) {
-        std::fprintf(stderr, "missing session BASE operand\n");
-        return false;
-    }
+    const char *base = a.ops.front();
     if (auto res = core::Session::load(base, s); !res) {
         std::fprintf(stderr, "cannot load session '%s': %s\n", base,
                      res.message().c_str());
@@ -763,8 +720,8 @@ cmdReplay(const Args &a)
         return 1;
     core::ReplayConfig cfg;
     cfg.logicalImportMode = a.has("--import");
-    cfg.options.burstJitterTicks = static_cast<Ticks>(
-        std::strtoul(a.value("--jitter", "0"), nullptr, 0));
+    cfg.options.burstJitterTicks =
+        static_cast<Ticks>(a.num("--jitter", 0));
     cfg.options.recover = a.has("--recover");
 
     // Profiling mode: run the reference stream through a representative
@@ -775,7 +732,7 @@ cmdReplay(const Args &a)
 
     // --pack-out tees the replayed reference stream into a packed
     // PTPK trace file; composable with --profile through a TeeSink.
-    const char *packOut = a.value("--pack-out");
+    const char *packOut = a.text("--pack-out");
     std::unique_ptr<trace::PackedTraceWriter> packWriter;
     std::unique_ptr<trace::PackedWriterSink> packSink;
     trace::TeeSink tee;
@@ -799,17 +756,12 @@ cmdReplay(const Args &a)
     // progress once per event and the core attributes each reference
     // (and its cache outcome, via a dedicated profiling hierarchy)
     // to the interval holding its cycle.
-    const char *tsOut = a.value("--timeseries-out");
+    const char *tsOut = a.text("--timeseries-out");
     std::unique_ptr<obs::Timeseries> ts;
     cache::TwoLevelCache tsHier = profileHierarchy();
     if (tsOut) {
-        u64 w = tsIntervalArg(a);
-        if (!w) {
-            std::fprintf(stderr,
-                         "replay: --ts-interval must be positive\n");
-            return 2;
-        }
-        ts = std::make_unique<obs::Timeseries>(w);
+        ts = std::make_unique<obs::Timeseries>(a.num(
+            "--ts-interval", obs::Timeseries::kDefaultIntervalCycles));
         cfg.timeseries = ts.get();
         cfg.tsHierarchy = &tsHier;
     }
@@ -922,12 +874,7 @@ resolveArtifactPaths(const char *target)
 int
 cmdFsck(const Args &a)
 {
-    const char *target = a.operand();
-    if (!target) {
-        std::fprintf(stderr,
-                     "fsck: missing FILE or session BASE operand\n");
-        return 2;
-    }
+    const char *target = a.ops.front();
     bool allClean = true;
     for (const auto &p : resolveArtifactPaths(target)) {
         validate::FsckReport rep = validate::fsckArtifact(p);
@@ -1246,12 +1193,7 @@ statsForFlightDumpFile(const char *path)
 int
 cmdStats(const Args &a)
 {
-    const char *target = a.operand();
-    if (!target) {
-        std::fprintf(stderr,
-                     "stats: missing FILE or session BASE operand\n");
-        return 2;
-    }
+    const char *target = a.ops.front();
     // The JSON telemetry artifacts (timeseries, flight-recorder
     // bundles) are not framed like the binary artifacts; their
     // schema tag routes them to dedicated summarizers.
@@ -1393,9 +1335,9 @@ cmdSweepPacked(const Args &a, const char *path)
     // Journalled mode: each configuration is a supervised work item,
     // results land in a CSV finalized atomically at the end, and the
     // journal makes the sweep resumable after a crash.
-    if (a.value("--journal") || a.value("--deadline") ||
-        a.value("--max-retries")) {
-        if (a.value("--timeseries-out")) {
+    if (a.has("--journal") || a.has("--deadline") ||
+        a.has("--max-retries")) {
+        if (a.has("--timeseries-out")) {
             std::fprintf(
                 stderr,
                 "sweep: --timeseries-out is not supported with "
@@ -1403,7 +1345,7 @@ cmdSweepPacked(const Args &a, const char *path)
                 "finished configurations; use the plain sweep\n");
             return 2;
         }
-        const char *out = a.value("--out");
+        const char *out = a.text("--out");
         if (!out) {
             std::fprintf(stderr,
                          "sweep: supervised mode needs --out CSV "
@@ -1438,14 +1380,10 @@ cmdSweepPacked(const Args &a, const char *path)
                     res.caches);
     std::fprintf(stderr, "%llu refs from %s in %.2fs\n",
                  static_cast<unsigned long long>(res.refs), path, secs);
-    if (const char *tsOut = a.value("--timeseries-out")) {
-        u64 w = tsIntervalArg(a);
-        if (!w) {
-            std::fprintf(stderr,
-                         "sweep: --ts-interval must be positive\n");
-            return 2;
-        }
-        obs::Timeseries ts(w, obs::Timeseries::Domain::Refs);
+    if (const char *tsOut = a.text("--timeseries-out")) {
+        obs::Timeseries ts(
+            a.num("--ts-interval", obs::Timeseries::kDefaultIntervalCycles),
+            obs::Timeseries::Domain::Refs);
         if (!packedTraceToRefSeries(path, ts, "sweep") ||
             !writeTimeseries(ts, tsOut, "sweep"))
             return 1;
@@ -1456,8 +1394,18 @@ cmdSweepPacked(const Args &a, const char *path)
 int
 cmdSweep(const Args &a)
 {
-    if (const char *packed = a.value("--packed"))
+    const char *packed = a.text("--packed");
+    if (!packed == a.ops.empty()) // exactly one of BASE, --packed
+        return a.usage();
+    if (packed)
         return cmdSweepPacked(a, packed);
+    for (const char *f : {"--out", "--journal", "--deadline",
+                          "--max-retries"}) {
+        if (a.has(f)) {
+            std::fprintf(stderr, "sweep: %s needs --packed FILE\n", f);
+            return 2;
+        }
+    }
     core::Session s;
     if (!loadSession(a, s))
         return 1;
@@ -1471,18 +1419,13 @@ cmdSweep(const Args &a)
     // Sweep telemetry uses the reference-index domain: interval k
     // covers refs [k*W, (k+1)*W), and only the mix/energy columns
     // are meaningful (a cache sweep has no single timeline).
-    const char *tsOut = a.value("--timeseries-out");
+    const char *tsOut = a.text("--timeseries-out");
     std::unique_ptr<obs::Timeseries> ts;
     std::unique_ptr<RefsTsSink> tsSink;
     if (tsOut) {
-        u64 w = tsIntervalArg(a);
-        if (!w) {
-            std::fprintf(stderr,
-                         "sweep: --ts-interval must be positive\n");
-            return 2;
-        }
         ts = std::make_unique<obs::Timeseries>(
-            w, obs::Timeseries::Domain::Refs);
+            a.num("--ts-interval", obs::Timeseries::kDefaultIntervalCycles),
+            obs::Timeseries::Domain::Refs);
         tsSink = std::make_unique<RefsTsSink>(*ts);
         tee.add(tsSink.get());
     }
@@ -1517,65 +1460,21 @@ using trace::kindToDinLabel;
 using trace::sniffTraceFormat;
 using trace::TraceFormat;
 
-/** Parses --block, defaulting and bounds-checking. @return 0 on a
- *  bad value (caller reports). */
-u32
-blockCapacityArg(const Args &a)
-{
-    const char *arg = a.value("--block");
-    if (!arg)
-        return trace::kPackedDefaultBlockCapacity;
-    unsigned long v = std::strtoul(arg, nullptr, 0);
-    if (v < 1 || v > trace::kPackedMaxBlockCapacity)
-        return 0;
-    return static_cast<u32>(v);
-}
-
 int
-cmdTracePack(const Args &a, const std::vector<const char *> &ops)
+cmdTracePack(const Args &a)
 {
-    u32 cap = blockCapacityArg(a);
-    if (!cap) {
-        std::fprintf(stderr,
-                     "trace pack: --block %s: expected an integer in "
-                     "[1, %u]\n",
-                     a.value("--block"), trace::kPackedMaxBlockCapacity);
-        return 2;
-    }
-
-    const char *synthetic = a.value("--synthetic");
-    const char *in = nullptr;
-    const char *out = nullptr;
-    if (synthetic) {
-        if (ops.size() != 2) {
-            std::fprintf(stderr,
-                         "usage: palmtrace trace pack --synthetic N "
-                         "OUT [--seed S] [--block N]\n");
-            return 2;
-        }
-        out = ops[1];
-    } else {
-        if (ops.size() != 3) {
-            std::fprintf(stderr, "usage: palmtrace trace pack IN OUT "
-                                 "[--block N]\n");
-            return 2;
-        }
-        in = ops[1];
-        out = ops[2];
-    }
+    const bool synthetic = a.has("--synthetic");
+    if (a.ops.size() != (synthetic ? 1u : 2u))
+        return a.usage();
+    const char *in = synthetic ? nullptr : a.ops[0];
+    const char *out = a.ops.back();
 
     // Refuse bad input before opening OUT: the writer publishes
     // whatever it holds when it goes out of scope.
     workload::DesktopTraceConfig cfg;
     if (synthetic) {
-        cfg.refs = std::strtoull(synthetic, nullptr, 0);
-        if (!cfg.refs) {
-            std::fprintf(stderr,
-                         "trace pack: --synthetic needs a positive "
-                         "reference count\n");
-            return 2;
-        }
-        cfg.seed = std::strtoull(a.value("--seed", "7"), nullptr, 0);
+        cfg.refs = a.num("--synthetic", 0);
+        cfg.seed = a.num("--seed", 7);
     } else {
         switch (sniffTraceFormat(in)) {
           case TraceFormat::Unreadable:
@@ -1596,7 +1495,9 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
         }
     }
 
-    trace::PackedTraceWriter w(out, cap);
+    trace::PackedTraceWriter w(
+        out, static_cast<u32>(
+                 a.num("--block", trace::kPackedDefaultBlockCapacity)));
     if (!w.ok()) {
         std::fprintf(stderr,
                      "trace pack: cannot open '%s' for writing\n",
@@ -1648,14 +1549,10 @@ cmdTracePack(const Args &a, const std::vector<const char *> &ops)
 }
 
 int
-cmdTraceUnpack(const Args &, const std::vector<const char *> &ops)
+cmdTraceUnpack(const Args &a)
 {
-    if (ops.size() != 3) {
-        std::fprintf(stderr, "usage: palmtrace trace unpack IN OUT\n");
-        return 2;
-    }
-    const char *in = ops[1];
-    const char *out = ops[2];
+    const char *in = a.ops[0];
+    const char *out = a.ops[1];
 
     trace::PackedTraceReader reader;
     if (auto res = reader.open(in); !res) {
@@ -1688,13 +1585,9 @@ cmdTraceUnpack(const Args &, const std::vector<const char *> &ops)
 }
 
 int
-cmdTraceInfo(const Args &, const std::vector<const char *> &ops)
+cmdTraceInfo(const Args &a)
 {
-    if (ops.size() != 2) {
-        std::fprintf(stderr, "usage: palmtrace trace info FILE\n");
-        return 2;
-    }
-    const char *path = ops[1];
+    const char *path = a.ops[0];
     TextTable t("Trace statistics");
     t.setHeader({"Quantity", "Value"});
     auto row = [&](const char *what, const std::string &v) {
@@ -1782,13 +1675,9 @@ cmdTraceInfo(const Args &, const std::vector<const char *> &ops)
  *  contract: 0 identical, 1 traces differ, 2 unreadable/corrupt
  *  input (or usage error). */
 int
-cmdTraceDiff(const Args &, const std::vector<const char *> &ops)
+cmdTraceDiff(const Args &a)
 {
-    if (ops.size() != 3) {
-        std::fprintf(stderr, "usage: palmtrace trace diff A B\n");
-        return 2;
-    }
-    trace::DiffResult d = trace::diffTraces(ops[1], ops[2]);
+    trace::DiffResult d = trace::diffTraces(a.ops[0], a.ops[1]);
     switch (d.outcome) {
       case trace::DiffOutcome::Identical:
         std::printf("traces identical (%llu records)\n",
@@ -1804,30 +1693,6 @@ cmdTraceDiff(const Args &, const std::vector<const char *> &ops)
     }
 }
 
-int
-cmdTrace(const Args &a)
-{
-    auto ops = a.operands();
-    if (ops.empty()) {
-        std::fprintf(stderr, "trace: missing operation (pack, "
-                             "unpack, info, diff)\n");
-        return 2;
-    }
-    if (!std::strcmp(ops[0], "pack"))
-        return cmdTracePack(a, ops);
-    if (!std::strcmp(ops[0], "unpack"))
-        return cmdTraceUnpack(a, ops);
-    if (!std::strcmp(ops[0], "info"))
-        return cmdTraceInfo(a, ops);
-    if (!std::strcmp(ops[0], "diff"))
-        return cmdTraceDiff(a, ops);
-    std::fprintf(stderr,
-                 "trace: unknown operation '%s' (want pack, unpack, "
-                 "info, or diff)\n",
-                 ops[0]);
-    return 2;
-}
-
 // ---------------------------------------------------------------------
 // Supervised jobs: journalled, watchdog-guarded, resumable runs.
 
@@ -1836,11 +1701,9 @@ super::JobOptions
 jobOptionsFrom(const Args &a)
 {
     super::JobOptions jo;
-    jo.maxAttempts = static_cast<u32>(
-        std::strtoul(a.value("--max-retries", "3"), nullptr, 0));
-    jo.deadlineMs =
-        std::strtoull(a.value("--deadline", "0"), nullptr, 0);
-    if (const char *j = a.value("--journal"))
+    jo.maxAttempts = static_cast<u32>(a.num("--max-retries", 3));
+    jo.deadlineMs = a.num("--deadline", 0);
+    if (const char *j = a.text("--journal"))
         jo.journalPath = j;
     jo.globalCancel = &gSigint;
     return jo;
@@ -1885,9 +1748,6 @@ reportJob(const char *what, const super::JobResult &r)
     return 0;
 }
 
-/** The most sessions one fleet or submit command may request. */
-constexpr u64 kMaxFleetCount = u64{1} << 20;
-
 /**
  * Deterministic fleet session specs: @p count sessions cycling the
  * four Table 1 presets, each with a per-index seed derived from the
@@ -1921,38 +1781,13 @@ int
 runFleetCommand(const char *what, const Args &a, const char *out,
                 const std::string &endpoint)
 {
-    const char *countArg = a.value("--count", "8");
-    const auto count =
-        static_cast<unsigned>(parseCount(countArg, kMaxFleetCount));
-    if (!count) {
-        std::fprintf(stderr,
-                     "%s: --count %s: expected an integer in [1, %llu]\n",
-                     what, countArg,
-                     static_cast<unsigned long long>(kMaxFleetCount));
-        return 2;
-    }
-    const char *scaleArg = a.value("--scale", "1");
-    const double scale = parseScale(scaleArg);
-    if (!scale) {
-        std::fprintf(stderr,
-                     "%s: --scale %s: expected a finite number > 0\n",
-                     what, scaleArg);
-        return 2;
-    }
-    const u64 seed =
-        std::strtoull(a.value("--seed", "1"), nullptr, 0);
     const std::vector<workload::SessionSpec> specs =
-        fleetSpecs(count, scale, seed);
+        fleetSpecs(static_cast<unsigned>(a.num("--count", 8)),
+                   a.real("--scale", 1), a.num("--seed", 1));
 
     super::JobOptions jo = jobOptionsFrom(a);
-    jo.blockCapacity = blockCapacityArg(a);
-    if (!jo.blockCapacity) {
-        std::fprintf(stderr,
-                     "%s: --block %s: expected an integer in [1, %u]\n",
-                     what, a.value("--block"),
-                     trace::kPackedMaxBlockCapacity);
-        return 2;
-    }
+    jo.blockCapacity = static_cast<u32>(
+        a.num("--block", trace::kPackedDefaultBlockCapacity));
     if (!endpoint.empty()) {
         serve::ClientOptions co;
         co.endpoint = endpoint;
@@ -1968,31 +1803,19 @@ runFleetCommand(const char *what, const Args &a, const char *out,
 int
 cmdFleet(const Args &a)
 {
-    const char *out = a.value("--out");
-    if (!out) {
-        std::fprintf(
-            stderr,
-            "usage: palmtrace fleet --out BASE [--count N] "
-            "[--scale X] [--seed S] [--block N] [--save-sessions] "
-            "[--journal FILE] [--deadline MS] [--max-retries N]\n");
-        return 2;
-    }
-    const char *remote = a.value("--remote");
-    if (remote && a.has("--save-sessions")) {
-        std::fprintf(stderr,
-                     "fleet: --save-sessions is ignored with "
-                     "--remote (sessions live server-side)\n");
-    }
-    return runFleetCommand("fleet", a, out, remote ? remote : "");
+    const char *out = a.text("--out");
+    if (!out)
+        return a.usage();
+    return runFleetCommand("fleet", a, out, "");
 }
 
 /** The server endpoint named by --socket PATH or --tcp PORT. */
 std::string
 endpointFrom(const Args &a)
 {
-    if (const char *s = a.value("--socket"))
+    if (const char *s = a.text("--socket"))
         return s;
-    if (const char *t = a.value("--tcp"))
+    if (const char *t = a.text("--tcp"))
         return std::string("tcp:") + t;
     return {};
 }
@@ -2003,15 +1826,9 @@ int
 cmdSubmit(const Args &a)
 {
     const std::string endpoint = endpointFrom(a);
-    const char *out = a.value("--out");
-    if (endpoint.empty() || !out) {
-        std::fprintf(
-            stderr,
-            "usage: palmtrace submit (--socket PATH | --tcp PORT) "
-            "--out BASE [--count N] [--scale X] [--seed S] "
-            "[--block N] [--journal FILE]\n");
-        return 2;
-    }
+    const char *out = a.text("--out");
+    if (endpoint.empty() || !out)
+        return a.usage();
     return runFleetCommand("submit", a, out, endpoint);
 }
 
@@ -2020,27 +1837,17 @@ cmdSubmit(const Args &a)
 int
 cmdServe(const Args &a)
 {
-    const char *socket = a.value("--socket");
-    if (!socket) {
-        std::fprintf(
-            stderr,
-            "usage: palmtrace serve --socket PATH [--tcp PORT] "
-            "[--jobs N] [--max-sessions M] [--session-timeout MS] "
-            "[--scratch DIR]\n");
-        return 2;
-    }
+    const char *socket = a.text("--socket");
+    if (!socket)
+        return a.usage();
     serve::ServeOptions so;
     so.socketPath = socket;
-    if (const char *t = a.value("--tcp"))
-        so.tcpPort = std::atoi(t);
-    so.maxSessions = static_cast<u32>(
-        std::strtoul(a.value("--max-sessions", "64"), nullptr, 0));
-    if (!so.maxSessions)
-        so.maxSessions = 64;
-    so.sessionTimeoutMs = std::strtoull(
-        a.value("--session-timeout", "0"), nullptr, 0);
-    so.jobs = parseJobs(a.value("--jobs")); // validated by main()
-    if (const char *s = a.value("--scratch"))
+    if (a.has("--tcp"))
+        so.tcpPort = static_cast<int>(a.num("--tcp", 0));
+    so.maxSessions = static_cast<u32>(a.num("--max-sessions", 64));
+    so.sessionTimeoutMs = a.num("--session-timeout", 0);
+    so.jobs = static_cast<unsigned>(a.num("--jobs", 0));
+    if (const char *s = a.text("--scratch"))
         so.scratchDir = s;
 
     serve::Server server(so);
@@ -2084,15 +1891,10 @@ cmdServe(const Args &a)
 int
 cmdResume(const Args &a)
 {
-    const char *journal = a.operand();
-    if (!journal) {
-        std::fprintf(stderr,
-                     "usage: palmtrace resume JOURNAL [--jobs N]\n");
-        return 2;
-    }
+    const char *journal = a.ops.front();
     super::JobOptions jo;
     jo.globalCancel = &gSigint;
-    jo.jobs = parseJobs(a.value("--jobs")); // validated by main()
+    jo.jobs = static_cast<unsigned>(a.num("--jobs", 0));
     // Remote-fleet journals are resumed by the serve client (the
     // endpoint travels in the journal; --socket/--tcp override it).
     if (serve::isRemoteFleetJournal(journal)) {
@@ -2106,8 +1908,7 @@ cmdResume(const Args &a)
 int
 cmdDisasm(const Args &a)
 {
-    u32 count = static_cast<u32>(
-        std::strtoul(a.value("--count", "40"), nullptr, 0));
+    const u64 count = a.num("--count", 40);
     const os::RomImage &rom = os::builtRom();
     device::Device dev;
     dev.bus().loadRom(os::builtRomPaged());
@@ -2115,7 +1916,7 @@ cmdDisasm(const Args &a)
                 "0x%08X)\n\n",
                 device::kRomBase, rom.syms.boot, rom.syms.dispatcher);
     Addr pc = rom.syms.dispatcher;
-    for (u32 i = 0; i < count; ++i) {
+    for (u64 i = 0; i < count; ++i) {
         auto d = m68k::disassemble(dev.bus(), pc);
         std::printf("  %08X  %s\n", pc, d.text.c_str());
         pc += d.length;
@@ -2361,10 +2162,10 @@ reportPostmortemSection(std::string &md, const char *path)
 int
 cmdReport(const Args &a)
 {
-    const char *metrics = a.value("--metrics");
-    const char *timeseries = a.value("--timeseries");
-    const char *journal = a.value("--journal");
-    const char *postmortem = a.value("--postmortem");
+    const char *metrics = a.text("--metrics");
+    const char *timeseries = a.text("--timeseries");
+    const char *journal = a.text("--journal");
+    const char *postmortem = a.text("--postmortem");
     if (!metrics && !timeseries && !journal && !postmortem) {
         std::fprintf(stderr,
                      "report: nothing to report — give at least one "
@@ -2383,7 +2184,7 @@ cmdReport(const Args &a)
     if (postmortem && !reportPostmortemSection(md, postmortem))
         return 1;
 
-    if (const char *out = a.value("--out")) {
+    if (const char *out = a.text("--out")) {
         std::FILE *f = std::fopen(out, "wb");
         if (!f) {
             std::fprintf(stderr, "report: cannot write '%s'\n", out);
@@ -2398,38 +2199,148 @@ cmdReport(const Args &a)
     return 0;
 }
 
-int
-dispatch(const std::string &cmd, const Args &rest)
+/** The command table: one row per subcommand and per trace op. */
+const Command kCommands[] = {
+    {"collect", cmdCollect, "--out BASE",
+     "synthesize a volunteer session and save its artifacts",
+     {kOutBase, kSeed, kInteractions, kIdle, kBeams}},
+    {"info", cmdInfo, "BASE",
+     "summarize a saved session (log mix, timestamps, databases)",
+     {}, 1, 1},
+    {"replay", cmdReplay, "BASE",
+     "replay a session; print reference and timing measurements",
+     {kImport, kJitter, kRecover, kProfile, kPackOut, kTimeseriesOut,
+      kTsInterval},
+     1, 1},
+    {"validate", cmdValidate, "BASE",
+     "the paper's two-fold validation (exit 0 when both pass)",
+     {kImport}, 1, 1},
+    {"fsck", cmdFsck, "FILE|BASE",
+     "artifact integrity check (exit 0 clean, 1 corrupt)", {}, 1, 1},
+    {"stats", cmdStats, "FILE|BASE",
+     "summarize any artifact: log, snapshot, checkpoint, telemetry",
+     {}, 1, 1},
+    {"sweep", cmdSweep, "BASE | --packed FILE",
+     "the 56-configuration cache case study, live or from a PTPK trace",
+     {kPacked, kCsv, kOutCsv, kJournal, kDeadline, kMaxRetries,
+      kTimeseriesOut, kTsInterval},
+     0, 1},
+    {"trace pack", cmdTracePack, "IN OUT | --synthetic N OUT",
+     "pack a Dinero din trace (or the Fig 7 trace) into PTPK",
+     {kSynthetic, kSeed, kBlock}, 1, 2},
+    {"trace unpack", cmdTraceUnpack, "IN OUT",
+     "expand a PTPK trace to din", {}, 2, 2},
+    {"trace info", cmdTraceInfo, "FILE",
+     "trace statistics and integrity (din or PTPK)", {}, 1, 1},
+    {"trace diff", cmdTraceDiff, "A B",
+     "compare two traces; exit 0 identical, 1 differ, 2 unreadable",
+     {}, 2, 2},
+    {"resume", cmdResume, "JOURNAL",
+     "finish a journalled job after a crash, kill or Ctrl-C",
+     {kSocket, kTcp}, 1, 1},
+    {"fleet", cmdFleet, "--out BASE",
+     "collect and replay N sessions; one PTPK trace each plus a CSV",
+     {kOutBase, kFleetCount, kScale, kSeed, kBlock, kSaveSessions, kJournal,
+      kDeadline, kMaxRetries}},
+    {"serve", cmdServe, "--socket PATH",
+     "resident fleet server; SIGTERM drains it",
+     {kSocket, kTcp, kMaxSessions, kSessionTimeout, kScratch}},
+    {"submit", cmdSubmit, "(--socket PATH | --tcp PORT) --out BASE",
+     "run a fleet through a server; same bytes as a local fleet",
+     {kSocket, kTcp, kOutBase, kFleetCount, kScale, kSeed, kBlock, kJournal,
+      kDeadline, kMaxRetries}},
+    {"disasm", cmdDisasm, "", "disassemble the front of the PilotOS ROM",
+     {kDisasmCount}},
+    {"report", cmdReport, "",
+     "join a run's observability artifacts into a markdown report",
+     {kMetricsIn, kTimeseriesIn, kJournalIn, kPostmortemIn, kOutReport}},
+};
+
+/** `palmtrace help`: every row, then every flag with its range. */
+void
+printHelp(std::FILE *to)
 {
-    if (cmd == "collect")
-        return cmdCollect(rest);
-    if (cmd == "info")
-        return cmdInfo(rest);
-    if (cmd == "replay")
-        return cmdReplay(rest);
-    if (cmd == "validate")
-        return cmdValidate(rest);
-    if (cmd == "fsck")
-        return cmdFsck(rest);
-    if (cmd == "stats")
-        return cmdStats(rest);
-    if (cmd == "sweep")
-        return cmdSweep(rest);
-    if (cmd == "trace")
-        return cmdTrace(rest);
-    if (cmd == "resume")
-        return cmdResume(rest);
-    if (cmd == "fleet")
-        return cmdFleet(rest);
-    if (cmd == "serve")
-        return cmdServe(rest);
-    if (cmd == "submit")
-        return cmdSubmit(rest);
-    if (cmd == "report")
-        return cmdReport(rest);
-    if (cmd == "disasm")
-        return cmdDisasm(rest);
-    return unknownSubcommand(cmd);
+    std::fprintf(to, "usage: palmtrace <subcommand> [operands] "
+                     "[flags]\n\nsubcommands:\n");
+    std::vector<const Flag *> all;
+    auto collect = [&](const Flag &f) {
+        for (const Flag *g : all)
+            if (!std::strcmp(g->name, f.name) &&
+                !std::strcmp(g->help, f.help))
+                return;
+        all.push_back(&f);
+    };
+    for (const Command &c : kCommands) {
+        printWrapped(to, " ", synopsisWords(c), 6);
+        std::fprintf(to, "      %s\n", c.summary);
+        for (const Flag &f : c.flags)
+            collect(f);
+    }
+    std::fprintf(to, "  help\n      print this message\n\n"
+                     "every subcommand also takes:\n");
+    std::vector<std::string> globals;
+    for (const Flag &f : kGlobalFlags) {
+        collect(f);
+        globals.push_back(bracketed(f));
+    }
+    printWrapped(to, " ", globals, 2);
+    std::fprintf(to, "\nflags:\n");
+    std::sort(all.begin(), all.end(), [](const Flag *x, const Flag *y) {
+        return std::strcmp(x->name, y->name) < 0;
+    });
+    for (const Flag *f : all) {
+        std::string lead =
+            std::string(f->name) + (*f->meta ? " " : "") + f->meta;
+        std::string help = f->help;
+        if (f->type == Int)
+            help += ", " + std::to_string(f->lo) + ".." +
+                    std::to_string(f->hi);
+        std::fprintf(to, "  %-22s %s\n", lead.c_str(), help.c_str());
+    }
+}
+
+/**
+ * Finds the row named by argv[1] (and argv[2] for a trace op). Sets
+ * @p used to the argv entries the name took. @return nullptr after
+ * reporting an unknown subcommand or operation on stderr.
+ */
+const Command *
+findCommand(int argc, char **argv, int &used)
+{
+    const std::string word = argv[1];
+    const std::string group = word + " ";
+    std::string ops;
+    for (const Command &c : kCommands) {
+        const std::string name = c.name;
+        if (name == word) {
+            used = 2;
+            return &c;
+        }
+        if (name.compare(0, group.size(), group))
+            continue;
+        if (argc > 2 && name.substr(group.size()) == argv[2]) {
+            used = 3;
+            return &c;
+        }
+        ops += (ops.empty() ? "" : ", ") + name.substr(group.size());
+    }
+    if (!ops.empty()) {
+        if (argc > 2)
+            std::fprintf(stderr, "%s: unknown operation '%s' (want %s)\n",
+                         word.c_str(), argv[2], ops.c_str());
+        else
+            std::fprintf(stderr, "%s: missing operation (%s)\n",
+                         word.c_str(), ops.c_str());
+        return nullptr;
+    }
+    std::fprintf(stderr, "palmtrace: unknown subcommand '%s'\n",
+                 word.c_str());
+    std::vector<std::string> names;
+    for (const Command &c : kCommands)
+        names.push_back(std::string(c.name).substr(
+            0, std::string(c.name).find(' ')));
+    suggest(word, names);
+    return nullptr;
 }
 
 } // namespace
@@ -2437,17 +2348,21 @@ dispatch(const std::string &cmd, const Args &rest)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
-        return usage();
-
-    std::string cmd = argv[1];
-    Args rest{argc - 2, argv + 2};
-
+    if (argc < 2) {
+        printHelp(stderr);
+        return 2;
+    }
+    const std::string cmd = argv[1];
     if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-        printUsage(stdout);
+        printHelp(stdout);
         return 0;
     }
-    if (int rc = checkFlags(rest))
+    int used = 0;
+    const Command *command = findCommand(argc, argv, used);
+    if (!command)
+        return 2;
+    Args rest;
+    if (int rc = parseArgs(*command, argc - used, argv + used, rest))
         return rc;
 
     // fsck/stats dispatch on artifact magic; the job-journal parser
@@ -2458,11 +2373,12 @@ main(int argc, char **argv)
     // metrics still flush, and the process exits 130.
     std::signal(SIGINT, onSigint);
 
-    // --postmortem FILE arms the flight recorder for the whole run;
+    // --postmortem FILE arms the flight recorder for the whole run
+    // (not for `report`, whose --postmortem names a bundle to read);
     // the fatal-signal handlers flush its rings into FILE before the
     // default action takes over. Installed unconditionally — they are
     // pure no-ops (beyond re-raising) when the recorder stays unarmed.
-    if (const char *postmortem = rest.value("--postmortem"))
+    if (const char *postmortem = rest.global("--postmortem"))
         obs::FlightRecorder::global().arm(postmortem);
     std::signal(SIGSEGV, onFatalSignal);
     std::signal(SIGABRT, onFatalSignal);
@@ -2473,36 +2389,27 @@ main(int argc, char **argv)
     // environment can override, explicit flags win.
     setLogQuiet(true);
     applyLogEnv();
-    if (rest.has("--quiet"))
+    if (rest.global("--quiet"))
         setLogLevel(LogLevel::Quiet);
-    else if (rest.has("--verbose"))
+    else if (rest.global("--verbose"))
         setLogLevel(LogLevel::Debug);
 
     // Worker threads for the parallel stages (sweep flushes, fleet
     // items). PT_JOBS is the environment's default; --jobs wins.
-    if (const char *jobs = rest.value("--jobs")) {
-        unsigned n = parseJobs(jobs);
-        if (!n) {
-            std::fprintf(stderr,
-                         "palmtrace: --jobs %s: expected an integer in "
-                         "[1, %u]\n",
-                         jobs, kMaxJobs);
-            return 2;
-        }
-        setDefaultJobs(n);
-    }
+    if (rest.global("--jobs"))
+        setDefaultJobs(static_cast<unsigned>(rest.num("--jobs", 0)));
 
     // Observability surfaces: install the registry sink when metrics
     // are wanted, arm the timeline tracer when a trace is wanted.
-    const char *metricsOut = rest.value("--metrics-out");
-    const char *traceOut = rest.value("--trace-out");
+    const char *metricsOut = rest.global("--metrics-out");
+    const char *traceOut = rest.global("--trace-out");
     obs::RegistrySink sink;
     if (metricsOut || rest.has("--profile"))
         obs::setProfileSink(&sink);
     if (traceOut)
         obs::Tracer::global().setEnabled(true);
 
-    int rc = dispatch(cmd, rest);
+    int rc = command->run(rest);
 
     if (metricsOut) {
         std::string err;
