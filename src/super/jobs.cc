@@ -3,14 +3,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 
 #include "base/fnv.h"
 #include "obs/hostmem.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "trace/packedtrace.h"
-#include "workload/tracefeed.h"
 
 namespace pt::super
 {
@@ -32,14 +30,6 @@ bitsDouble(u64 v)
     double d;
     std::memcpy(&d, &v, sizeof(d));
     return d;
-}
-
-void
-appendFixed(std::string &out, double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    out += buf;
 }
 
 /** Footers are best-effort, like every journal append. */
@@ -189,55 +179,6 @@ loadResumable(const std::string &journalPath, JournalData &data,
     return true;
 }
 
-namespace
-{
-
-/**
- * The resume prologue every job kind shares. Skips Done items whose
- * blob @p blobOk accepts (nullptr = any) and, when @p artifactPath is
- * given, whose journalled artifact's FNV still matches; removes the
- * stale .tmp of the output and of every item artifact; reopens the
- * journal for appending; applies jo.jobs over the journalled width.
- */
-void
-beginResume(ResumeState &rs, const std::string &journalPath,
-            const JournalData &data, const JobOptions &jo,
-            bool (*blobOk)(const std::vector<u8> &),
-            const std::function<std::string(u64)> &artifactPath)
-{
-    rs.spec = data.spec;
-    if (jo.jobs)
-        rs.spec.jobs = jo.jobs;
-
-    // Skip items whose journalled result is still intact; anything
-    // else — Failed, Running at crash time, checksum drift — re-runs.
-    rs.latest = data.latestPerItem();
-    rs.skip.assign(rs.latest.size(), false);
-    for (std::size_t i = 0; i < rs.latest.size(); ++i) {
-        const ItemRecord &rec = rs.latest[i];
-        if (rec.state != ItemState::Done || (blobOk && !blobOk(rec.blob)))
-            continue;
-        bool readable = true;
-        const u64 fnv = artifactPath ? fnvFile(rec.artifact, &readable)
-                                     : rec.artifactFnv;
-        rs.skip[i] = readable && fnv == rec.artifactFnv;
-    }
-
-    // Stale temp hygiene: a crash can strand <artifact>.tmp /
-    // <out>.tmp litter. They are this job's own temporaries, so the
-    // resume removes them before re-running.
-    if (artifactPath) {
-        for (u64 i = 0; i < data.spec.totalItems; ++i)
-            std::remove((artifactPath(i) + ".tmp").c_str());
-    }
-    std::remove((data.spec.outPath + ".tmp").c_str());
-
-    if (rs.journal.openAppend(journalPath, data.validBytes))
-        rs.jptr = &rs.journal;
-}
-
-} // namespace
-
 JobResult &
 finishCsv(JobResult &res, JournalWriter *journal, const std::string &csv)
 {
@@ -256,268 +197,6 @@ finishCsv(JobResult &res, JournalWriter *journal, const std::string &csv)
          res.outFnv, res.degraded ? res.super.firstError : ""});
     res.ok = true;
     return res;
-}
-
-// ---------------------------------------------------------------------
-// Sweep jobs
-
-namespace
-{
-
-/** One journalled config: size, line, assoc (u32 each), policy (u8). */
-constexpr std::size_t kConfigBytes = 13;
-
-std::vector<u8>
-serializeConfigs(const std::vector<cache::CacheConfig> &configs)
-{
-    BinWriter w;
-    w.put32(static_cast<u32>(configs.size()));
-    for (const cache::CacheConfig &c : configs) {
-        w.put32(c.sizeBytes);
-        w.put32(c.lineBytes);
-        w.put32(c.assoc);
-        w.put8(static_cast<u8>(c.policy));
-    }
-    return w.takeBytes();
-}
-
-LoadResult
-deserializeConfigs(const std::vector<u8> &extra,
-                   std::vector<cache::CacheConfig> &out)
-{
-    BinReader r(extra);
-    const u32 count = r.get32();
-    if (!r.ok() || count > r.remaining() / kConfigBytes) {
-        return LoadResult::fail(0, "configs.count",
-                                std::to_string(count) +
-                                    " configs cannot fit in the bytes "
-                                    "that follow");
-    }
-    out.clear();
-    for (u32 i = 0; i < count; ++i) {
-        cache::CacheConfig c;
-        c.sizeBytes = r.get32();
-        c.lineBytes = r.get32();
-        c.assoc = r.get32();
-        const u8 policy = r.get8();
-        if (policy > static_cast<u8>(cache::Policy::Random)) {
-            return LoadResult::fail(r.offset() - 1, "configs.policy",
-                                    "unknown replacement policy " +
-                                        std::to_string(policy));
-        }
-        c.policy = static_cast<cache::Policy>(policy);
-        out.push_back(c);
-    }
-    if (!r.atEnd()) {
-        return LoadResult::fail(r.offset(), "configs",
-                                "trailing bytes after the last config");
-    }
-    return {};
-}
-
-/** The input check run and resume share: every config valid and the
- *  trace readable. @p traceFnv receives the binding fingerprint. */
-bool
-checkSweepInputs(const std::vector<cache::CacheConfig> &configs,
-                 const std::string &tracePath, u64 &traceFnv,
-                 JobResult &res)
-{
-    for (const cache::CacheConfig &c : configs) {
-        if (auto r = c.validate(); !r) {
-            res.error = "bad cache config " + c.name() + ": " +
-                        r.message();
-            return false;
-        }
-    }
-    bool fnvOk = false;
-    traceFnv = fnvFile(tracePath, &fnvOk);
-    if (!fnvOk)
-        res.error = "cannot read trace " + tracePath;
-    return fnvOk;
-}
-
-std::vector<u8>
-sweepStatsBlob(const cache::CacheStats &st)
-{
-    BinWriter w;
-    w.put64(st.accesses);
-    w.put64(st.misses);
-    w.put64(st.evictions);
-    w.put64(st.ramAccesses);
-    w.put64(st.ramMisses);
-    w.put64(st.flashAccesses);
-    w.put64(st.flashMisses);
-    return w.takeBytes();
-}
-
-bool
-sweepStatsFromBlob(const std::vector<u8> &blob, cache::CacheStats &st)
-{
-    BinReader r(blob);
-    st.accesses = r.get64();
-    st.misses = r.get64();
-    st.evictions = r.get64();
-    st.ramAccesses = r.get64();
-    st.ramMisses = r.get64();
-    st.flashAccesses = r.get64();
-    st.flashMisses = r.get64();
-    return r.ok() && r.atEnd();
-}
-
-bool
-sweepBlobOk(const std::vector<u8> &blob)
-{
-    cache::CacheStats st;
-    return sweepStatsFromBlob(blob, st);
-}
-
-JobResult
-sweepJobCore(const std::vector<cache::CacheConfig> &configs,
-             const JobSpec &spec, JournalWriter *journal,
-             std::vector<bool> skip,
-             const std::vector<ItemRecord> &prior, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = spec.outPath;
-    const std::size_t n = configs.size();
-
-    ItemFn fn = [&](u64 i, CancelToken &tok) -> ItemOutcome {
-        ItemOutcome out;
-        // Scoped metrics: this config's counters accumulate in a
-        // private registry for the attempt's lifetime, published
-        // into the process totals only when the attempt succeeds —
-        // retried attempts never double-count.
-        std::unique_ptr<obs::MetricScope> scope;
-        std::unique_ptr<obs::ScopedProfileSink> scoped;
-        if (obs::profileSink()) {
-            scope = std::make_unique<obs::MetricScope>(
-                "sweep/" +
-                configs[static_cast<std::size_t>(i)].name());
-            scoped =
-                std::make_unique<obs::ScopedProfileSink>(*scope);
-        }
-        workload::PackedSweepResult r = workload::sweepPackedFile(
-            spec.sessionPath, {configs[static_cast<std::size_t>(i)]},
-            1, &tok);
-        if (r.interrupted) {
-            out.error = "interrupted";
-            return out;
-        }
-        if (!r.status) {
-            out.error = "trace error: " + r.status.message();
-            return out;
-        }
-        if (r.caches.size() != 1) {
-            out.error = "sweep produced no result";
-            return out;
-        }
-        out.ok = true;
-        out.blob = sweepStatsBlob(r.caches[0].stats());
-        if (scope)
-            scope->publish();
-        return out;
-    };
-
-    res.super = superviseItems(
-        n, fn,
-        superOptionsFor(spec, journal, jo.globalCancel,
-                        jo.backoffBaseMs, std::move(skip)));
-
-    if (handleInterrupt(res, journal))
-        return res;
-
-    // Render every row from the journal-format blob — skipped items
-    // reuse their journalled stats — so a resumed run's CSV is
-    // byte-identical to an uninterrupted one.
-    std::string csv =
-        "config,size_bytes,line_bytes,assoc,policy,status,accesses,"
-        "misses,miss_rate,ram_accesses,ram_misses,flash_accesses,"
-        "flash_misses\n";
-    for (std::size_t i = 0; i < n; ++i) {
-        const cache::CacheConfig &c = configs[i];
-        csv += c.name();
-        csv += ',' + std::to_string(c.sizeBytes);
-        csv += ',' + std::to_string(c.lineBytes);
-        csv += ',' + std::to_string(c.assoc);
-        csv += ',';
-        csv += cache::policyName(c.policy);
-        cache::CacheStats st;
-        if (res.super.quarantined[i] ||
-            !sweepStatsFromBlob(settledBlob(res.super, prior, i), st)) {
-            csv += ",quarantined,0,0,0.000000,0,0,0,0\n";
-            continue;
-        }
-        csv += ",ok,";
-        csv += std::to_string(st.accesses);
-        csv += ',' + std::to_string(st.misses);
-        csv += ',';
-        appendFixed(csv, st.missRate());
-        csv += ',' + std::to_string(st.ramAccesses);
-        csv += ',' + std::to_string(st.ramMisses);
-        csv += ',' + std::to_string(st.flashAccesses);
-        csv += ',' + std::to_string(st.flashMisses);
-        csv += '\n';
-    }
-    return finishCsv(res, journal, csv);
-}
-
-JobResult
-resumeSweepJob(const std::string &journalPath, const JournalData &data,
-               const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = data.spec.outPath;
-
-    std::vector<cache::CacheConfig> configs;
-    if (auto r = deserializeConfigs(data.spec.extra, configs); !r) {
-        res.error = "journalled sweep configs are corrupt: " +
-                    r.message();
-        return res;
-    }
-    if (configs.size() != data.spec.totalItems) {
-        res.error = "journalled sweep configs are corrupt: " +
-                    std::to_string(configs.size()) + " configs for " +
-                    std::to_string(data.spec.totalItems) + " items";
-        return res;
-    }
-    u64 traceFnv = 0;
-    if (!checkSweepInputs(configs, data.spec.sessionPath, traceFnv,
-                          res) ||
-        !bindingHolds(data.spec, traceFnv,
-                      "the trace at " + data.spec.sessionPath, res)) {
-        return res;
-    }
-
-    ResumeState rs;
-    beginResume(rs, journalPath, data, jo, sweepBlobOk, nullptr);
-    return sweepJobCore(configs, rs.spec, rs.jptr, std::move(rs.skip),
-                        rs.latest, jo);
-}
-
-} // namespace
-
-JobResult
-runSweepJob(const std::string &tracePath,
-            const std::vector<cache::CacheConfig> &configs,
-            const std::string &outPath, const JobOptions &jo)
-{
-    JobResult res;
-    res.outPath = outPath;
-    u64 traceFnv = 0;
-    if (!checkSweepInputs(configs, tracePath, traceFnv, res))
-        return res;
-
-    JobSpec spec =
-        specFor(JobKind::PackedSweep, outPath, configs.size(), jo);
-    spec.sessionPath = tracePath;
-    spec.bindFingerprint = traceFnv;
-    spec.extra = serializeConfigs(configs);
-
-    JournalWriter journal;
-    JournalWriter *jptr;
-    if (!openJobJournal(journal, jptr, jo.journalPath, spec, res))
-        return res;
-    return sweepJobCore(configs, spec, jptr, {}, {}, jo);
 }
 
 // ---------------------------------------------------------------------
@@ -633,7 +312,10 @@ fleetJobCore(const std::vector<workload::SessionSpec> &specs,
         const workload::SessionSpec &ss =
             specs[static_cast<std::size_t>(i)];
 
-        // Scoped metrics, published only on success (see sweepJobCore).
+        // Scoped metrics: this session's counters accumulate in a
+        // private registry for the attempt's lifetime, published into
+        // the process totals only when the attempt succeeds — retried
+        // attempts never double-count.
         std::unique_ptr<obs::MetricScope> scope;
         std::unique_ptr<obs::ScopedProfileSink> scoped;
         if (obs::profileSink()) {
@@ -761,12 +443,36 @@ void
 beginFleetResume(ResumeState &rs, const std::string &journalPath,
                  const JournalData &data, const JobOptions &jo)
 {
-    // Skip only items whose journalled trace is still intact on disk:
-    // the .ptpk is the product, not just the row.
-    beginResume(
-        rs, journalPath, data, jo,
-        [](const std::vector<u8> &b) { return FleetMeasure{}.fromBlob(b); },
-        [&](u64 i) { return fleetTracePath(data.spec.sessionPath, i); });
+    rs.spec = data.spec;
+    if (jo.jobs)
+        rs.spec.jobs = jo.jobs;
+
+    // Skip only Done items whose measure decodes and whose journalled
+    // trace is still intact on disk: the .ptpk is the product, not
+    // just the row. Anything else — Failed, Running at crash time,
+    // checksum drift — re-runs.
+    rs.latest = data.latestPerItem();
+    rs.skip.assign(rs.latest.size(), false);
+    for (std::size_t i = 0; i < rs.latest.size(); ++i) {
+        const ItemRecord &rec = rs.latest[i];
+        if (rec.state != ItemState::Done ||
+            !FleetMeasure{}.fromBlob(rec.blob))
+            continue;
+        bool readable = true;
+        const u64 fnv = fnvFile(rec.artifact, &readable);
+        rs.skip[i] = readable && fnv == rec.artifactFnv;
+    }
+
+    // Stale temp hygiene: a crash can strand <trace>.tmp / <out>.tmp
+    // litter. They are this job's own temporaries, so the resume
+    // removes them before re-running.
+    for (u64 i = 0; i < data.spec.totalItems; ++i)
+        std::remove(
+            (fleetTracePath(data.spec.sessionPath, i) + ".tmp").c_str());
+    std::remove((data.spec.outPath + ".tmp").c_str());
+
+    if (rs.journal.openAppend(journalPath, data.validBytes))
+        rs.jptr = &rs.journal;
 }
 
 std::vector<u8>
@@ -954,8 +660,6 @@ resumeJob(const std::string &journalPath, const JobOptions &jo)
     if (!loadResumable(journalPath, data, res))
         return res;
     switch (data.spec.kind) {
-      case JobKind::PackedSweep:
-        return resumeSweepJob(journalPath, data, jo);
       case JobKind::Fleet:
         return resumeFleetJob(journalPath, data, jo);
       default:

@@ -1,21 +1,21 @@
 /**
  * @file
- * Supervised-job adapters: the batch pipelines wrapped in crash-safe,
+ * Supervised-job adapters: the fleet pipeline wrapped in crash-safe,
  * resumable, deadline-guarded execution.
  *
- *  - runSweepJob(): cache sweep over a packed trace. Items are the
- *    cache configurations; results land in a CSV written atomically
- *    at the end, rows rendered from journalled per-item stats so a
- *    resume reproduces the file exactly.
- *  - runFleetJob(): the fleet pipeline. Items are session specs;
- *    each collects a session on its own device and replays it
- *    through a streaming packed-trace writer (runFleetItem()),
- *    producing <outBase>-session-<i>.ptpk plus a summary CSV
- *    (fleetCsv()). Every device shares the process ROM pages and
- *    copy-on-write RAM, so a fleet's footprint is one base state plus
- *    per-device dirty pages. Each item is a pure function of its
- *    spec, so per-session traces are byte-identical at any job count
- *    (and across resumes).
+ * runFleetJob() runs the fleet pipeline. Items are session specs;
+ * each collects a session on its own device and replays it through a
+ * streaming packed-trace writer (runFleetItem()), producing
+ * <outBase>-session-<i>.ptpk plus a summary CSV (fleetCsv()). Every
+ * device shares the process ROM pages and copy-on-write RAM, so a
+ * fleet's footprint is one base state plus per-device dirty pages.
+ * Each item is a pure function of its spec, so per-session traces are
+ * byte-identical at any job count (and across resumes).
+ *
+ * The cache sweep is not a job: `sweep --packed` computes all 56
+ * configurations in one decode pass (workload::sweepPackedFile), so a
+ * per-configuration resume would cost more than a fresh sweep. Its
+ * journal kind (2) stays reserved; resumeJob() refuses it by name.
  *
  * The fleet pieces are public because `palmtrace serve` and its
  * client run the same pipeline with a socket in the middle: the
@@ -23,7 +23,7 @@
  * codec and the FleetMeasure, and the client renders fleetCsv() and
  * resumes through the same prologue as every local job.
  *
- * Every job can attach a write-ahead journal (JobOptions::
+ * A fleet can attach a write-ahead journal (JobOptions::
  * journalPath). resumeJob() reloads a journal — after a crash, a
  * kill -9, or a clean SIGINT — verifies the inputs still match the
  * spec's binding fingerprint, skips items whose artifacts are intact,
@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.h"
 #include "core/palmsim.h"
 #include "super/supervisor.h"
 #include "trace/packedtrace.h"
@@ -74,11 +73,6 @@ struct JobResult
 
 /** FNV-64 of a whole file; @p okOut (when given) reports readability. */
 u64 fnvFile(const std::string &path, bool *okOut = nullptr);
-
-/** Per-configuration cache sweep of a packed trace, CSV output. */
-JobResult runSweepJob(const std::string &tracePath,
-                      const std::vector<cache::CacheConfig> &configs,
-                      const std::string &outPath, const JobOptions &jo);
 
 /** Fleet-specific knobs. */
 struct FleetOptions
@@ -192,10 +186,10 @@ struct ResumeState
 };
 
 /**
- * The resume prologue of a fleet journal, local or remote (every job
- * kind runs the same one): skips Done items whose measure decodes and
- * whose trace is intact, removes stale .tmp files, reopens the journal
- * for appending and applies jo.jobs over the journalled width.
+ * The resume prologue of a fleet journal, local or remote: skips Done
+ * items whose measure decodes and whose trace is intact, removes stale
+ * .tmp files, reopens the journal for appending and applies jo.jobs
+ * over the journalled width.
  */
 void beginFleetResume(ResumeState &rs, const std::string &journalPath,
                       const JournalData &data, const JobOptions &jo);

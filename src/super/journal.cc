@@ -35,7 +35,7 @@ jobKindName(JobKind k)
         return "none";
       case JobKind::RetiredEpochRun:
         return "epoch-run";
-      case JobKind::PackedSweep:
+      case JobKind::RetiredPackedSweep:
         return "packed-sweep";
       case JobKind::RetiredSessionBatch:
         return "session-batch";

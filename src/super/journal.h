@@ -63,7 +63,9 @@ enum class JobKind : u32
     None = 0,
     RetiredEpochRun = 1, ///< reserved: the retired epoch-parallel
                          ///< replay; its journals load, not resume
-    PackedSweep = 2,  ///< cache sweep over a packed trace
+    RetiredPackedSweep = 2, ///< reserved: the retired per-config
+                            ///< packed sweep; its journals load, not
+                            ///< resume
     RetiredSessionBatch = 3, ///< reserved: the retired session-batch
                              ///< job; its journals load, not resume
     Fleet = 4,        ///< fleet collect+replay to per-session traces

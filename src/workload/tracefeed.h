@@ -6,7 +6,7 @@
  * trace file through a CacheSweep with O(block) memory.
  *
  * This is the one decode path for a packed sweep (`sweep --packed`,
- * the sweep job). Its results are bit-identical to decoding the whole
+ * with or without `--out`). Its results are bit-identical to decoding the whole
  * trace up front and feeding it record by record (the §9 determinism
  * contract); tests/test_packedtrace.cc keeps that buffered feed as
  * the oracle and proves the two equal at jobs in {1, 8}.

@@ -184,7 +184,18 @@ TEST_F(Cli, RefusesWhatASubcommandDoesNotRead)
         {{"fleet", "--out", "@/f", "--remote", "@/none.sock"},
          "fleet: unknown flag '--remote'"},
         {{"sweep", "@/s", "--journal", "@/j.ptjl"},
-         "sweep: --journal needs --packed FILE"},
+         "sweep: unknown flag '--journal'"},
+        // Flags read only alongside another flag.
+        {{"replay", "@/s", "--ts-interval", "70000"},
+         "replay: --ts-interval needs --timeseries-out"},
+        {{"sweep", "@/s", "--ts-interval", "70000"},
+         "sweep: --ts-interval needs --timeseries-out"},
+        {{"sweep", "--packed", "@/t.ptpk", "--ts-interval", "70000"},
+         "sweep: --ts-interval needs --timeseries-out"},
+        {{"trace", "pack", "@/t.ptpk", "@/u.ptpk", "--seed", "5"},
+         "trace pack: --seed needs --synthetic"},
+        {{"sweep", "@/s", "--out", "@/x.csv"},
+         "sweep: --out needs --packed"},
         // Values that used to wrap, truncate or loop without end.
         {{"replay", "@/s", "--jitter", "-5"},
          "replay: --jitter -5: expected an integer in [0, 6000]"},
@@ -205,7 +216,7 @@ TEST_F(Cli, RefusesWhatASubcommandDoesNotRead)
          "--max-sessions 0: expected an integer in [1, "},
         {{"sweep", "--packed", "@/t.ptpk", "--out", "@/x.csv",
           "--max-retries", "abc"},
-         "sweep: --max-retries abc: expected"},
+         "sweep: unknown flag '--max-retries'"},
         {{"replay", "@/s", "--timeseries-out", "@/ts.jsonl",
           "--ts-interval", "12"},
          "replay: --ts-interval 12: expected an integer in [65536, "},
@@ -230,6 +241,7 @@ TEST_F(Cli, RefusesWhatASubcommandDoesNotRead)
     for (const auto &c : cases)
         expect(c.args, 2, c.stderrHas);
     EXPECT_FALSE(fs::exists(dir / "c.log")) << "a refused collect ran";
+    EXPECT_FALSE(fs::exists(dir / "u.ptpk")) << "a refused trace pack ran";
 }
 
 TEST_F(Cli, HelpListsEveryCommand)
@@ -267,8 +279,7 @@ TEST_F(Cli, EverySpellingCiUsesStillRuns)
         {"sweep", "--packed", "@/s.ptpk", "--csv"},
         {"trace", "pack", "--synthetic", "500000", "@/fig7.ptpk"},
         {"trace", "info", "@/fig7.ptpk"},
-        {"sweep", "--packed", "@/fig7.ptpk", "--out", "@/g.csv",
-         "--journal", "@/g.ptjl"},
+        {"sweep", "--packed", "@/fig7.ptpk", "--out", "@/g.csv"},
         {"trace", "unpack", "@/fig7.ptpk", "@/fig7.din"},
         {"trace", "diff", "@/fig7.ptpk", "@/fig7.din"},
         {"fleet", "--out", "@/f", "--count", "2", "--scale", "0.1",
@@ -282,6 +293,23 @@ TEST_F(Cli, EverySpellingCiUsesStillRuns)
     };
     for (const auto &args : lines)
         expect(args, 0, "", 60);
+
+    // `sweep --packed --out` writes the per-config golden at any job
+    // count and still prints the table.
+    const std::string golden =
+        slurp(PT_GOLDEN_DIR "/sweep_fig7_synthetic.csv");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(slurp((dir / "g.csv").string()), golden);
+    const Outcome table = run({"sweep", "--packed", "@/fig7.ptpk", "--csv"});
+    ASSERT_EQ(table.code, 0) << table.err;
+    for (const char *jobs : {"1", "8"}) {
+        SCOPED_TRACE(std::string("--jobs ") + jobs);
+        const Outcome r = run({"sweep", "--packed", "@/fig7.ptpk", "--out",
+                               "@/g-jobs.csv", "--csv", "--jobs", jobs});
+        EXPECT_EQ(r.code, 0) << r.err;
+        EXPECT_EQ(r.out, table.out);
+        EXPECT_EQ(slurp((dir / "g-jobs.csv").string()), golden);
+    }
 }
 
 TEST_F(Cli, ServeAndSubmit)

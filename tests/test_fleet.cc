@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/fnv.h"
 #include "core/palmsim.h"
 #include "super/jobs.h"
 #include "super/journal.h"
@@ -207,6 +208,35 @@ TEST(FleetJob, ResumedRunIsByteIdentical)
     auto done = super::resumeJob(j1, super::JobOptions{});
     EXPECT_TRUE(done.ok);
     EXPECT_TRUE(done.nothingToDo);
+}
+
+TEST(FleetJob, ResumeRefusesChangedSpecs)
+{
+    // The specs travel inside the journal and the binding fingerprint
+    // covers their bytes: a journal whose specs changed after it was
+    // written is refused, not resumed into a different fleet.
+    BinWriter w;
+    w.put8(0); // saveSessions
+    w.put32(1);
+    super::putSessionSpec(w, fleetSpecs()[0]);
+    super::JobSpec spec;
+    spec.kind = super::JobKind::Fleet;
+    spec.sessionPath = tmpFile("fleet_changed");
+    spec.outPath = spec.sessionPath + ".csv";
+    spec.totalItems = 1;
+    spec.extra = w.takeBytes();
+    spec.bindFingerprint = fnv64(spec.extra.data(), spec.extra.size());
+    spec.extra.back() ^= 1; // the last weight's top byte
+    const std::string path = tmpFile("fleet_changed.ptjl");
+    {
+        super::JournalWriter jw;
+        ASSERT_TRUE(jw.open(path, spec));
+    }
+
+    auto res = super::resumeJob(path, super::JobOptions{});
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("fingerprint"), std::string::npos)
+        << res.error;
 }
 
 } // namespace

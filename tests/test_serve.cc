@@ -728,8 +728,7 @@ TEST(JournalExtraMutation, HostileSpecCountIsAStructuredError)
 
 TEST(JournalExtraMutation, EveryKindResumesOrFailsStructurally)
 {
-    // Reference runs: a local fleet (whose first trace doubles as the
-    // sweep's input) and a packed sweep, both journalled.
+    // The reference run: a journalled local fleet.
     const auto specs = serveSpecs(2);
     const std::string base = tmpFile("mut_fleet");
     super::JobOptions jo;
@@ -739,20 +738,9 @@ TEST(JournalExtraMutation, EveryKindResumesOrFailsStructurally)
     ASSERT_TRUE(fleet.ok) << fleet.error;
     const std::vector<u8> fleetCsv = readFileBytes(base + ".csv");
 
-    std::vector<cache::CacheConfig> configs(3);
-    configs[1].assoc = 2;
-    configs[2].lineBytes = 32;
-    const std::string sweepCsv = tmpFile("mut_sweep.csv");
-    jo.journalPath = tmpFile("mut_sweep.ptjl");
-    auto sweep = super::runSweepJob(super::fleetTracePath(base, 0),
-                                    configs, sweepCsv, jo);
-    ASSERT_TRUE(sweep.ok) << sweep.error;
-
-    super::JournalData fleetData, sweepData;
+    super::JournalData fleetData;
     ASSERT_TRUE(
         super::loadJournal(tmpFile("mut_fleet.ptjl"), fleetData).ok());
-    ASSERT_TRUE(
-        super::loadJournal(tmpFile("mut_sweep.ptjl"), sweepData).ok());
 
     // The remote client resumes the same fleet against a live server:
     // every item is intact on disk, so nothing is submitted.
@@ -779,8 +767,6 @@ TEST(JournalExtraMutation, EveryKindResumesOrFailsStructurally)
         {fleetData.spec, fleetData.records, 1, 2, fleetCsv},
         {remoteSpec, fleetData.records, 4 + so.socketPath.size(), 2,
          fleetCsv},
-        {sweepData.spec, sweepData.records, 0, 3,
-         readFileBytes(sweepCsv)},
     };
 
     const std::string path = tmpFile("mut.ptjl");
@@ -789,11 +775,9 @@ TEST(JournalExtraMutation, EveryKindResumesOrFailsStructurally)
                      const std::string &what) {
         super::JobSpec spec = k.spec;
         spec.extra = std::move(extra);
-        // Fleet kinds bind the extra bytes themselves; recompute so
+        // Both kinds bind the extra bytes themselves; recompute so
         // the mutation reaches the decoder instead of the binding.
-        if (spec.kind != super::JobKind::PackedSweep)
-            spec.bindFingerprint =
-                fnv64(spec.extra.data(), spec.extra.size());
+        spec.bindFingerprint = fnv64(spec.extra.data(), spec.extra.size());
         writeJournal(path, spec, k.records);
         auto res = resumeAny(path, spec.kind);
         ++cases;

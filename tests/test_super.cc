@@ -2,10 +2,9 @@
  * @file
  * Supervised-job tests: journal round-trip and torn-tail contracts,
  * the supervisor's retry/quarantine/watchdog/cancel behaviors, and
- * the tentpole theorem — a resumed job's output is byte-identical to
- * an uninterrupted run's (packed cache sweep; the fleet's proof
- * lives in test_fleet.cc) — plus the structured refusals of journals
- * a resume must not run.
+ * the structured refusals of journals a resume must not run. That a
+ * resumed job's output is byte-identical to an uninterrupted run's is
+ * proved on the fleet, in test_fleet.cc.
  */
 
 #include <atomic>
@@ -19,11 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "base/fnv.h"
-#include "cache/cache.h"
 #include "super/jobs.h"
 #include "super/journal.h"
 #include "super/supervisor.h"
-#include "trace/packedtrace.h"
 #include "validate/artifactcheck.h"
 
 namespace pt
@@ -67,9 +64,9 @@ super::JobSpec
 sampleSpec()
 {
     super::JobSpec spec;
-    spec.kind = super::JobKind::PackedSweep;
-    spec.sessionPath = "trace.ptpk";
-    spec.outPath = "sweep.csv";
+    spec.kind = super::JobKind::Fleet;
+    spec.sessionPath = "fleet";
+    spec.outPath = "fleet.csv";
     spec.blockCapacity = 4096;
     spec.totalItems = 4;
     spec.maxAttempts = 2;
@@ -535,181 +532,11 @@ TEST(Supervisor, JournalFailureDoesNotFailTheJob)
 }
 
 // ---------------------------------------------------------------------
-// Supervised jobs: resume is byte-identical
-
-std::string
-writeSyntheticPacked(const std::string &path, u64 records, u64 seed)
-{
-    trace::PackedTraceWriter w(path, 512);
-    u64 x = seed ? seed : 1;
-    for (u64 i = 0; i < records; ++i) {
-        // xorshift64* — cheap deterministic address stream.
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        u64 v = x * 0x2545F4914F6CDD1Dull;
-        w.add(static_cast<u32>(v), static_cast<u8>(v >> 32) % 3,
-              static_cast<u8>(v >> 40) % 2);
-    }
-    EXPECT_TRUE(w.close());
-    return path;
-}
-
-std::vector<cache::CacheConfig>
-sweepConfigs()
-{
-    std::vector<cache::CacheConfig> configs;
-    for (u32 size : {256u, 512u, 1024u, 2048u}) {
-        for (u32 assoc : {1u, 2u}) {
-            cache::CacheConfig c;
-            c.sizeBytes = size;
-            c.lineBytes = 16;
-            c.assoc = assoc;
-            configs.push_back(c);
-        }
-    }
-    return configs;
-}
-
-TEST(SweepJob, ResumedRunIsByteIdentical)
-{
-    const std::string trace =
-        writeSyntheticPacked(tmpFile("super_sweep.ptpk"), 3'000, 42);
-    const std::string csv = tmpFile("super_sweep.csv");
-    const std::string j1 = tmpFile("super_sweep_full.ptjl");
-    auto configs = sweepConfigs();
-
-    super::JobOptions jo;
-    jo.jobs = 2;
-    jo.journalPath = j1;
-    auto full = super::runSweepJob(trace, configs, csv, jo);
-    ASSERT_TRUE(full.ok) << full.error;
-    std::vector<u8> refBytes = readFileBytes(csv);
-    ASSERT_FALSE(refBytes.empty());
-
-    // Crash after three Done items, then resume.
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(j1, data).ok());
-    const std::string j2 = tmpFile("super_sweep_partial.ptjl");
-    {
-        super::JournalWriter w;
-        ASSERT_TRUE(w.open(j2, data.spec));
-        u64 kept = 0;
-        for (const auto &rec : data.records) {
-            if (rec.state == super::ItemState::Done && kept < 3) {
-                ASSERT_TRUE(w.appendItem(rec));
-                ++kept;
-            }
-        }
-        ASSERT_EQ(kept, 3u);
-    }
-    std::remove(csv.c_str());
-
-    auto resumed = super::resumeJob(j2, super::JobOptions{});
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_EQ(resumed.super.itemsSkipped, 3u);
-    EXPECT_EQ(resumed.super.itemsDone, configs.size() - 3);
-    EXPECT_EQ(readFileBytes(csv), refBytes);
-    EXPECT_EQ(resumed.outFnv, full.outFnv);
-}
-
-TEST(SweepJob, ResumeRefusesModifiedTrace)
-{
-    const std::string trace =
-        writeSyntheticPacked(tmpFile("super_sweep_mod.ptpk"), 800, 5);
-    const std::string csv = tmpFile("super_sweep_mod.csv");
-    const std::string j1 = tmpFile("super_sweep_mod.ptjl");
-    auto configs = sweepConfigs();
-
-    super::JobOptions jo;
-    jo.jobs = 1;
-    jo.journalPath = j1;
-    auto full = super::runSweepJob(trace, configs, csv, jo);
-    ASSERT_TRUE(full.ok) << full.error;
-
-    // Rebuild an unfinished journal, then swap the trace underneath.
-    super::JournalData data;
-    ASSERT_TRUE(super::loadJournal(j1, data).ok());
-    const std::string j2 = tmpFile("super_sweep_mod2.ptjl");
-    {
-        super::JournalWriter w;
-        ASSERT_TRUE(w.open(j2, data.spec));
-    }
-    writeSyntheticPacked(trace, 800, 6); // different content
-
-    auto resumed = super::resumeJob(j2, super::JobOptions{});
-    EXPECT_FALSE(resumed.ok);
-    EXPECT_NE(resumed.error.find("fingerprint"), std::string::npos)
-        << resumed.error;
-}
-
-/** A frame-valid sweep journal over @p trace holding one config. */
-std::string
-sweepJournalWith(const std::string &name, const std::string &trace,
-                 u32 size, u32 line, u32 assoc, u8 policy)
-{
-    super::JobSpec spec;
-    spec.kind = super::JobKind::PackedSweep;
-    spec.sessionPath = trace;
-    spec.outPath = tmpFile(name + ".csv");
-    spec.totalItems = 1;
-    spec.bindFingerprint = super::fnvFile(trace);
-    BinWriter w;
-    w.put32(1);
-    w.put32(size);
-    w.put32(line);
-    w.put32(assoc);
-    w.put8(policy);
-    spec.extra = w.takeBytes();
-    const std::string path = tmpFile(name + ".ptjl");
-    super::JournalWriter jw;
-    EXPECT_TRUE(jw.open(path, spec));
-    return path;
-}
-
-TEST(SweepJob, ResumeRefusesInvalidJournalledConfig)
-{
-    // Run and resume share one input check: a journalled config the
-    // run would have refused is a structured error on resume too,
-    // not an assertion inside the cache model.
-    const std::string trace =
-        writeSyntheticPacked(tmpFile("super_sweep_bad.ptpk"), 200, 3);
-    auto res = super::resumeJob(
-        sweepJournalWith("super_sweep_badline", trace, 1024, 3, 1, 0),
-        super::JobOptions{});
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("lineBytes"), std::string::npos)
-        << res.error;
-
-    // A policy byte outside the enum is refused by the decoder.
-    res = super::resumeJob(
-        sweepJournalWith("super_sweep_badpolicy", trace, 1024, 16, 1, 7),
-        super::JobOptions{});
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("configs.policy"), std::string::npos)
-        << res.error;
-}
-
-TEST(SweepJob, ResumeRefusesOversizedJournalledConfig)
-{
-    // 2 GB of 1-byte lines passes every other geometry check; the
-    // cache model would allocate 2^31 lines for it. The line-count
-    // bound makes it a structured error before anything is built.
-    const std::string trace =
-        writeSyntheticPacked(tmpFile("super_sweep_huge.ptpk"), 200, 4);
-    auto res = super::resumeJob(
-        sweepJournalWith("super_sweep_huge", trace, 0x80000000u, 1, 1, 0),
-        super::JobOptions{});
-    EXPECT_FALSE(res.ok);
-    EXPECT_NE(res.error.find("sizeBytes"), std::string::npos)
-        << res.error;
-    EXPECT_NE(res.error.find("lines exceed"), std::string::npos)
-        << res.error;
-}
+// Retired job kinds
 
 TEST(RetiredJobKind, JournalsLoadButDoNotResume)
 {
-    // Kinds 1 and 3 stay reserved so later kinds keep their numbers:
+    // Kinds 1, 2 and 3 stay reserved so later kinds keep their numbers:
     // their journals still load and pass fsck, and a resume names the
     // kind it refuses.
     const struct
@@ -719,6 +546,7 @@ TEST(RetiredJobKind, JournalsLoadButDoNotResume)
         const char *name;
     } retired[] = {
         {super::JobKind::RetiredEpochRun, 1, "epoch-run"},
+        {super::JobKind::RetiredPackedSweep, 2, "packed-sweep"},
         {super::JobKind::RetiredSessionBatch, 3, "session-batch"},
     };
     super::registerFsckParser();

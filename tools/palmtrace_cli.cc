@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/binio.h"
 #include "base/cancel.h"
 #include "base/json.h"
 #include "base/logging.h"
@@ -117,6 +118,7 @@ struct Flag
     const char *help;
     u64 lo = 0;
     u64 hi = 0;
+    const char *needs = nullptr; ///< another flag that must be given too
 };
 
 /** The most sessions one fleet or submit command may request. */
@@ -136,7 +138,8 @@ constexpr Flag kQuiet{"--quiet", Bool, "", "no logs or heartbeats"};
 constexpr Flag kVerbose{"--verbose", Bool, "", "debug log lines"};
 
 constexpr Flag kOutBase{"--out", Text, "BASE", "base name of the output"};
-constexpr Flag kOutCsv{"--out", Text, "CSV", "journalled sweep's results"};
+constexpr Flag kOutCsv{"--out", Text, "CSV", "per-config results file", 0, 0,
+                       "--packed"};
 constexpr Flag kOutReport{"--out", Text, "FILE", "report file, not stdout"};
 constexpr Flag kPackOut{"--pack-out", Text, "FILE", "tee the refs into PTPK"};
 constexpr Flag kPacked{"--packed", Text, "FILE", "sweep a PTPK trace"};
@@ -159,6 +162,8 @@ constexpr Flag kPostmortem{"--postmortem", Text, "FILE",
                            "arm the flight recorder; dump to FILE"};
 
 constexpr Flag kSeed{"--seed", Int, "N", "random seed", 0, ~u64{0}};
+constexpr Flag kSyntheticSeed{"--seed", Int, "N", "Fig 7 trace seed", 0,
+                              ~u64{0}, "--synthetic"};
 constexpr Flag kInteractions{"--interactions", Int, "N",
                              "user interactions", 0, 65536};
 constexpr Flag kIdle{"--idle", Int, "TICKS", "mean idle gap", 0,
@@ -171,7 +176,7 @@ constexpr Flag kJitter{"--jitter", Int, "TICKS", "delay per event burst", 0,
 constexpr Flag kTsInterval{"--ts-interval", Int, "N",
                            "timeseries interval width",
                            obs::Timeseries::kDefaultIntervalCycles / 16,
-                           u64{1} << 40};
+                           u64{1} << 40, "--timeseries-out"};
 constexpr Flag kFleetCount{"--count", Int, "N", "sessions in the fleet", 1,
                            kMaxFleetCount};
 constexpr Flag kScale{"--scale", Real, "X", "session length scale, > 0"};
@@ -365,7 +370,8 @@ synopsisWords(const Command &c)
  * row and fills @p a. @return 0, or 2 after naming the offending flag
  * or value on stderr: an unknown flag (another command's included), a
  * repeated flag, a value flag with no value, a value of the wrong type
- * or out of range, or a wrong number of operands.
+ * or out of range, a flag given without the flag it needs, or a wrong
+ * number of operands.
  */
 int
 parseArgs(const Command &cmd, int argc, char **argv, Args &a)
@@ -437,6 +443,13 @@ parseArgs(const Command &cmd, int argc, char **argv, Args &a)
             }
         }
         a.flags[f->name] = v;
+    }
+    for (const Flag &f : cmd.flags) {
+        if (f.needs && a.has(f.name) && !a.has(f.needs)) {
+            std::fprintf(stderr, "%s: %s needs %s\n", cmd.name, f.name,
+                         f.needs);
+            return 2;
+        }
     }
     if (a.ops.size() < cmd.minOps || a.ops.size() > cmd.maxOps)
         return a.usage();
@@ -626,10 +639,6 @@ packedTraceToRefSeries(const char *path, obs::Timeseries &ts,
 }
 
 // ---------------------------------------------------------------------
-
-// Supervised-job plumbing, defined with the resume command.
-super::JobOptions jobOptionsFrom(const Args &a);
-int reportJob(const char *what, const super::JobResult &r);
 
 int
 cmdCollect(const Args &a)
@@ -1326,38 +1335,47 @@ printSweepTable(const Args &a, const char *title,
                     t.render().c_str(), base);
 }
 
+/** The per-config results file of `sweep --packed --out`: one
+ *  13-column row per cache, written atomically. */
+bool
+writeSweepCsv(const char *path, const std::vector<cache::Cache> &caches)
+{
+    std::string csv =
+        "config,size_bytes,line_bytes,assoc,policy,status,accesses,"
+        "misses,miss_rate,ram_accesses,ram_misses,flash_accesses,"
+        "flash_misses\n";
+    for (const cache::Cache &c : caches) {
+        const cache::CacheConfig &k = c.config();
+        const cache::CacheStats &st = c.stats();
+        char rate[48];
+        std::snprintf(rate, sizeof(rate), "%.6f", st.missRate());
+        csv += k.name() + ',' + std::to_string(k.sizeBytes) + ',' +
+               std::to_string(k.lineBytes) + ',' +
+               std::to_string(k.assoc) + ',' + cache::policyName(k.policy) +
+               ",ok," + std::to_string(st.accesses) + ',' +
+               std::to_string(st.misses) + ',' + rate + ',' +
+               std::to_string(st.ramAccesses) + ',' +
+               std::to_string(st.ramMisses) + ',' +
+               std::to_string(st.flashAccesses) + ',' +
+               std::to_string(st.flashMisses) + '\n';
+    }
+    BinWriter w;
+    w.putBytes(csv.data(), csv.size());
+    std::string err;
+    if (!w.writeFile(path, &err)) {
+        std::fprintf(stderr, "sweep: write %s: %s\n", path, err.c_str());
+        return false;
+    }
+    return true;
+}
+
 /** `sweep --packed`: the 56-configuration case study fed from a
  *  packed PTPK trace instead of a live replay, streamed block by
- *  block from disk with O(block) memory. */
+ *  block from disk with O(block) memory, every configuration in one
+ *  decode pass. */
 int
 cmdSweepPacked(const Args &a, const char *path)
 {
-    // Journalled mode: each configuration is a supervised work item,
-    // results land in a CSV finalized atomically at the end, and the
-    // journal makes the sweep resumable after a crash.
-    if (a.has("--journal") || a.has("--deadline") ||
-        a.has("--max-retries")) {
-        if (a.has("--timeseries-out")) {
-            std::fprintf(
-                stderr,
-                "sweep: --timeseries-out is not supported with "
-                "supervised (journalled) runs — a resumed run skips "
-                "finished configurations; use the plain sweep\n");
-            return 2;
-        }
-        const char *out = a.text("--out");
-        if (!out) {
-            std::fprintf(stderr,
-                         "sweep: supervised mode needs --out CSV "
-                         "(the finalized results file)\n");
-            return 2;
-        }
-        super::JobOptions jo = jobOptionsFrom(a);
-        return reportJob(
-            "sweep", super::runSweepJob(
-                         path, cache::CacheSweep::paper56(), out, jo));
-    }
-
     auto t0 = std::chrono::steady_clock::now();
     workload::PackedSweepResult res = workload::sweepPackedFile(
         path, cache::CacheSweep::paper56(), 0, &gSigint);
@@ -1380,6 +1398,9 @@ cmdSweepPacked(const Args &a, const char *path)
                     res.caches);
     std::fprintf(stderr, "%llu refs from %s in %.2fs\n",
                  static_cast<unsigned long long>(res.refs), path, secs);
+    if (const char *out = a.text("--out");
+        out && !writeSweepCsv(out, res.caches))
+        return 1;
     if (const char *tsOut = a.text("--timeseries-out")) {
         obs::Timeseries ts(
             a.num("--ts-interval", obs::Timeseries::kDefaultIntervalCycles),
@@ -1399,13 +1420,6 @@ cmdSweep(const Args &a)
         return a.usage();
     if (packed)
         return cmdSweepPacked(a, packed);
-    for (const char *f : {"--out", "--journal", "--deadline",
-                          "--max-retries"}) {
-        if (a.has(f)) {
-            std::fprintf(stderr, "sweep: %s needs --packed FILE\n", f);
-            return 2;
-        }
-    }
     core::Session s;
     if (!loadSession(a, s))
         return 1;
@@ -2222,12 +2236,11 @@ const Command kCommands[] = {
      {}, 1, 1},
     {"sweep", cmdSweep, "BASE | --packed FILE",
      "the 56-configuration cache case study, live or from a PTPK trace",
-     {kPacked, kCsv, kOutCsv, kJournal, kDeadline, kMaxRetries,
-      kTimeseriesOut, kTsInterval},
+     {kPacked, kCsv, kOutCsv, kTimeseriesOut, kTsInterval},
      0, 1},
     {"trace pack", cmdTracePack, "IN OUT | --synthetic N OUT",
      "pack a Dinero din trace (or the Fig 7 trace) into PTPK",
-     {kSynthetic, kSeed, kBlock}, 1, 2},
+     {kSynthetic, kSyntheticSeed, kBlock}, 1, 2},
     {"trace unpack", cmdTraceUnpack, "IN OUT",
      "expand a PTPK trace to din", {}, 2, 2},
     {"trace info", cmdTraceInfo, "FILE",
