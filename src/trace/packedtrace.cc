@@ -1,5 +1,6 @@
 #include "packedtrace.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -47,13 +48,6 @@ maxPayloadBytes(u32 count)
     return static_cast<u64>(count) * 10;
 }
 
-/** kind/class nibble: the chain selector. */
-u8
-metaOf(const TraceRecord &r)
-{
-    return static_cast<u8>((r.kind & 3) | ((r.cls & 1) << 2));
-}
-
 /** Number of per-(kind,class) delta chains (meta values 0..6; 3 and
  *  7 would need kind == 3 and never occur). */
 constexpr unsigned kChains = 8;
@@ -66,138 +60,51 @@ constexpr unsigned kRegions = 16;
  *  (temporal reuse repeats addresses verbatim). */
 constexpr unsigned kRecent = 64;
 
-/** Encoded size of a varint. */
-std::size_t
-varintLen(u64 v)
+/** log2 of the slot count of the writer's exact-match index. */
+constexpr unsigned kMatchBits = 9;
+
+/** The exact-match index slot of @p addr (Fibonacci hashing). */
+u32
+matchSlotOf(u32 addr)
 {
-    std::size_t n = 1;
-    while (v >= 0x80) {
-        v >>= 7;
-        ++n;
-    }
-    return n;
+    return (addr * 0x9E3779B1u) >> (32 - kMatchBits);
 }
 
-/** Encodes one block's payload (meta tokens + chain streams),
- *  replacing @p scratch. All chain state restarts per block. Kept
- *  out of line: inlined into flushBlock() it encoded ~14% slower
- *  (perfbench replay_pack, 4-vCPU Xeon, g++ 12 -O2). */
-[[gnu::noinline]] void
-encodePackedBlockPayload(const TraceRecord *recs, std::size_t n,
-                         std::vector<u8> &scratch)
+/** Writes a LEB128 varint at @p out. @return the byte after it. */
+u8 *
+putVarintAt(u8 *out, u64 v)
 {
-    scratch.clear();
-
-    // 1. Meta tokens: varint(runLength << 3 | meta). A single-record
-    // run costs one byte, so interleaved kinds degrade gracefully
-    // while uniform stretches collapse.
-    std::size_t i = 0;
-    while (i < n) {
-        u8 meta = metaOf(recs[i]);
-        std::size_t j = i + 1;
-        while (j < n && metaOf(recs[j]) == meta)
-            ++j;
-        putVarint(scratch,
-                  (static_cast<u64>(j - i) << 3) | meta);
-        i = j;
+    while (v >= 0x80) {
+        *out++ = static_cast<u8>(v) | 0x80;
+        v >>= 7;
     }
+    *out++ = static_cast<u8>(v);
+    return out;
+}
 
-    // 2. Per-chain address streams, one chain per meta value. Each
-    // chain deltas against its own history so the interleaved fetch,
-    // stack and heap streams do not thrash one another's locality,
-    // and each chain keeps a last-address-per-region table (top
-    // nibble) so alternation between distant regions costs a 4-bit
-    // region switch instead of a full-width delta. Runs of identical
-    // same-region deltas (sequential fetch, streaming data) collapse
-    // into one item.
-    struct ChainItem
-    {
-        u64 body;
-        bool match;
-    };
-    std::vector<ChainItem> items;
-    for (u8 m = 0; m < kChains; ++m) {
-        items.clear();
-        u32 last[kRegions];
-        for (unsigned r = 0; r < kRegions; ++r)
-            last[r] = static_cast<u32>(r) << 28;
-        u32 recent[kRecent] = {};
-        unsigned ringPos = 0;
-        u32 prevRegion = kRegions; // invalid: first item switches
-        u32 chainPrev = 0;
-        for (std::size_t r = 0; r < n; ++r) {
-            const TraceRecord &rec = recs[r];
-            if (metaOf(rec) != m)
-                continue;
-            u32 reg = rec.addr >> 28;
-            u64 body;
-            if (reg == prevRegion) {
-                body = zigzagEncode(static_cast<s64>(rec.addr) -
-                                    static_cast<s64>(chainPrev))
-                       << 1;
-            } else {
-                body = (zigzagEncode(static_cast<s64>(rec.addr) -
-                                     static_cast<s64>(last[reg]))
-                        << 5) |
-                       (static_cast<u64>(reg) << 1) | 1;
-            }
-            // Exact matches against the recency ring beat wide
-            // deltas (temporal reuse repeats addresses verbatim) —
-            // but never break a delta run in progress.
-            bool useMatch = false;
-            u64 matchIdx = kRecent; // no hit
-            bool continuesRun = !(body & 1) && !items.empty() &&
-                                !items.back().match &&
-                                items.back().body == body;
-            if (!continuesRun) {
-                for (unsigned j = 1; j <= kRecent; ++j) {
-                    if (recent[(ringPos - j) & (kRecent - 1)] ==
-                        rec.addr) {
-                        matchIdx = j - 1;
-                        break;
-                    }
-                }
-                if (matchIdx < kRecent) {
-                    std::size_t matchCost = matchIdx < 32 ? 1 : 2;
-                    useMatch = matchCost < varintLen(body << 1);
-                }
-            }
-            items.push_back(useMatch ? ChainItem{matchIdx, true}
-                                     : ChainItem{body, false});
-            last[reg] = rec.addr;
-            chainPrev = rec.addr;
-            prevRegion = reg;
-            recent[ringPos] = rec.addr;
-            ringPos = (ringPos + 1) & (kRecent - 1);
-        }
-        std::size_t k = 0;
-        while (k < items.size()) {
-            if (items[k].match) {
-                // Wire form (index << 2 | 3): a rep-flagged
-                // switch-type item, a combination the delta encoder
-                // never produces.
-                putVarint(scratch, (items[k].body << 2) | 3);
-                ++k;
-                continue;
-            }
-            u64 body = items[k].body;
-            std::size_t e = k + 1;
-            if (!(body & 1)) { // same-region items may run-collapse
-                while (e < items.size() && !items[e].match &&
-                       items[e].body == body) {
-                    ++e;
-                }
-            }
-            u64 extra = e - k - 1;
-            if (extra) {
-                putVarint(scratch, (body << 1) | 1);
-                putVarint(scratch, extra);
-            } else {
-                putVarint(scratch, body << 1);
-            }
-            k = e;
-        }
+/** Writes the item for a same-region delta @p body repeated
+ *  @p extra more times. */
+u8 *
+putDeltaRun(u8 *out, u64 body, u64 extra)
+{
+    if (!extra)
+        return putVarintAt(out, body << 1);
+    out = putVarintAt(out, (body << 1) | 1);
+    return putVarintAt(out, extra);
+}
+
+/** Ring index of the most recent copy of @p addr among the @p limit
+ *  chain entries before addrs[k], or kRecent when there is none.
+ *  Entries before the chain start read as 0: the decoder's ring
+ *  starts zero-filled. */
+unsigned
+scanRecent(const Addr *addrs, u32 k, Addr addr, unsigned limit)
+{
+    for (unsigned j = 1; j <= limit; ++j) {
+        if ((j <= k ? addrs[k - j] : 0) == addr)
+            return j - 1;
     }
+    return kRecent;
 }
 
 } // namespace
@@ -213,7 +120,8 @@ PackedTraceWriter::PackedTraceWriter(const std::string &path,
 {
     if (this->blockCapacity > kPackedMaxBlockCapacity)
         this->blockCapacity = kPackedMaxBlockCapacity;
-    pending.reserve(this->blockCapacity);
+    blockAddrs.resize(this->blockCapacity);
+    blockMetas.resize(this->blockCapacity);
     if (io::checkFault(io::Op::Open, finalPath).any())
         return;
     file = std::fopen(tmpPath.c_str(), "wb");
@@ -253,34 +161,183 @@ PackedTraceWriter::write(const void *data, std::size_t len)
     written += len;
 }
 
-void
-PackedTraceWriter::add(Addr addr, u8 kind, u8 cls)
+/**
+ * Encodes the pending block's payload (meta tokens + chain streams)
+ * into scratch. @return its length. All chain state restarts per
+ * block.
+ */
+std::size_t
+PackedTraceWriter::encodeBlock()
 {
-    TraceRecord r;
-    r.addr = addr;
-    r.kind = kind > 2 ? 2 : kind;
-    r.cls = cls ? 1 : 0;
-    pending.push_back(r);
-    ++total;
-    if (pending.size() >= blockCapacity)
-        flushBlock();
+    const u32 n = pending;
+    const u8 *metas = blockMetas.data();
+    if (chainAddrs.size() < n) {
+        runTokens.resize(n);
+        chainAddrs.resize(n);
+    }
+    if (scratch.size() < maxPayloadBytes(n))
+        scratch.resize(maxPayloadBytes(n));
+    if (matchIndex.empty())
+        matchIndex.resize(std::size_t{1} << kMatchBits);
+
+    // 1. Meta tokens: varint(runLength << 3 | meta). A single-record
+    // run costs one byte, so interleaved kinds degrade gracefully
+    // while uniform stretches collapse.
+    u8 *out = scratch.data();
+    u32 runs = 0;
+    u32 chainCount[kChains] = {};
+    for (u32 i = 0; i < n;) {
+        const u8 meta = metas[i];
+        u32 j = i + 1;
+        while (j < n && metas[j] == meta)
+            ++j;
+        chainCount[meta] += j - i;
+        runTokens[runs] = ((j - i) << 3) | meta;
+        out = putVarintAt(out, runTokens[runs++]);
+        i = j;
+    }
+
+    // 2. A counting sort of the addresses by meta, a run at a time
+    // (stable, so each chain keeps arrival order): each chain's
+    // addresses end up contiguous in chainAddrs.
+    u32 start[kChains];
+    u32 cursor[kChains];
+    for (u32 m = 0, sum = 0; m < kChains; ++m) {
+        start[m] = cursor[m] = sum;
+        sum += chainCount[m];
+    }
+    const Addr *src = blockAddrs.data();
+    for (u32 r = 0; r < runs; ++r) {
+        const u32 len = runTokens[r] >> 3;
+        u32 &at = cursor[runTokens[r] & 7];
+        std::copy(src, src + len, chainAddrs.data() + at);
+        at += len;
+        src += len;
+    }
+
+    // 3. Per-chain address streams in ascending meta order.
+    for (u32 m = 0; m < kChains; ++m) {
+        if (chainCount[m]) {
+            out = encodeChain(chainAddrs.data() + start[m], chainCount[m],
+                              stampBase + start[m], out);
+        }
+    }
+    stampBase += n;
+    return static_cast<std::size_t>(out - scratch.data());
+}
+
+/**
+ * Writes one chain's address stream at @p out: @p n addresses whose
+ * exact-match stamps are @p stamp0 onwards. @return the byte after
+ * it.
+ *
+ * The chain deltas against its own history so the interleaved fetch,
+ * stack and heap streams do not thrash one another's locality, and
+ * keeps a last-address-per-region table (top nibble) so alternation
+ * between distant regions costs a 4-bit region switch instead of a
+ * full-width delta. Runs of identical same-region deltas (sequential
+ * fetch, streaming data) collapse into one item, streamed with one
+ * pending run. Exact matches against the ring of the chain's last 64
+ * addresses beat wide deltas (temporal reuse repeats addresses
+ * verbatim), but never break a delta run in progress.
+ */
+u8 *
+PackedTraceWriter::encodeChain(const Addr *addrs, u32 n, u64 stamp0,
+                               u8 *out)
+{
+    u32 last[kRegions];
+    for (unsigned r = 0; r < kRegions; ++r)
+        last[r] = static_cast<u32>(r) << 28;
+    u32 prevRegion = kRegions; // invalid: first item switches
+    u32 chainPrev = 0;
+    bool runOpen = false; // a same-region delta run awaits writing
+    u64 runBody = 0;
+    u64 runExtra = 0;
+    MatchSlot *slots = matchIndex.data();
+    for (u32 k = 0; k < n; ++k) {
+        const u32 addr = addrs[k];
+        const u32 reg = addr >> 28;
+        u64 body;
+        if (reg == prevRegion) {
+            body = zigzagEncode(static_cast<s64>(addr) -
+                                static_cast<s64>(chainPrev))
+                   << 1;
+        } else {
+            body = (zigzagEncode(static_cast<s64>(addr) -
+                                 static_cast<s64>(last[reg]))
+                    << 5) |
+                   (static_cast<u64>(reg) << 1) | 1;
+        }
+        MatchSlot &slot = slots[matchSlotOf(addr)];
+        if (runOpen && body == runBody) {
+            ++runExtra;
+        } else {
+            if (runOpen)
+                out = putDeltaRun(out, runBody, runExtra);
+            runOpen = false;
+            // A match item costs 1 byte below ring index 32 and 2
+            // below 64; it is used only when shorter than the delta
+            // item, so deltas of one byte never look.
+            const u64 item = body << 1;
+            const unsigned limit = item < 0x80     ? 0
+                                   : item < 0x4000 ? 32
+                                                   : kRecent;
+            u64 idx = kRecent;
+            if (limit) {
+                // The slot gives the index the ring scan would: the
+                // most recent copy. A different address still in
+                // the window may have overwritten ours, so scan;
+                // one outside the window (or none this chain) proves
+                // ours absent, since anything that overwrote an
+                // in-window entry is itself in the window.
+                const bool seen = slot.stamp >= stamp0;
+                const u64 dist = seen ? stamp0 + k - slot.stamp : ~0ull;
+                if (seen && slot.addr == addr)
+                    idx = dist - 1;
+                else if (dist <= kRecent)
+                    idx = scanRecent(addrs, k, addr, limit);
+                else if (addr == 0 && k < kRecent)
+                    idx = k; // the zero-filled part of the ring
+            }
+            if (idx < limit) {
+                // Wire form (index << 2 | 3): a rep-flagged
+                // switch-type item, a combination the delta encoder
+                // never produces.
+                out = putVarintAt(out, (idx << 2) | 3);
+            } else if (body & 1) {
+                out = putVarintAt(out, item);
+            } else {
+                runOpen = true;
+                runBody = body;
+                runExtra = 0;
+            }
+        }
+        slot = {addr, stamp0 + k};
+        last[reg] = addr;
+        chainPrev = addr;
+        prevRegion = reg;
+    }
+    if (runOpen)
+        out = putDeltaRun(out, runBody, runExtra);
+    return out;
 }
 
 void
 PackedTraceWriter::flushBlock()
 {
-    if (pending.empty())
+    if (!pending)
         return;
-    encodePackedBlockPayload(pending.data(), pending.size(), scratch);
+    const std::size_t len = encodeBlock();
     BinWriter h;
     h.put32(kPackedBlockMagic);
-    h.put32(static_cast<u32>(pending.size()));
-    h.put64(scratch.size());
-    h.put64(fnv64(scratch.data(), scratch.size()));
-    index.push_back({written, static_cast<u32>(pending.size())});
+    h.put32(pending);
+    h.put64(len);
+    h.put64(fnv64(scratch.data(), len));
+    index.push_back({written, pending});
     write(h.bytes().data(), h.bytes().size());
-    write(scratch.data(), scratch.size());
-    pending.clear();
+    write(scratch.data(), len);
+    total += pending;
+    pending = 0;
 }
 
 bool

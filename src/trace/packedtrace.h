@@ -105,17 +105,6 @@ zigzagDecode(u64 v)
     return static_cast<s64>(v >> 1) ^ -static_cast<s64>(v & 1);
 }
 
-/** Appends a LEB128 varint. */
-inline void
-putVarint(std::vector<u8> &out, u64 v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<u8>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<u8>(v));
-}
-
 /**
  * Reads a LEB128 varint from [p, end). @return bytes consumed, or 0
  * when the buffer ends mid-varint or the varint overflows 64 bits.
@@ -164,13 +153,23 @@ class PackedTraceWriter
     bool ok() const { return file != nullptr && !failed; }
 
     /** Appends one record (kind 0 fetch / 1 read / 2 write, cls 0
-     *  ram / 1 flash; other values are clamped into range). */
-    void add(Addr addr, u8 kind, u8 cls);
+     *  ram / 1 flash; other values are clamped into range). Inline,
+     *  and storing each field straight into the block's arrays: this
+     *  runs once per reference. */
+    void
+    add(Addr addr, u8 kind, u8 cls)
+    {
+        blockAddrs[pending] = addr;
+        blockMetas[pending] =
+            static_cast<u8>((kind > 2 ? 2 : kind) | (cls ? 4 : 0));
+        if (++pending == blockCapacity)
+            flushBlock();
+    }
 
     void add(const TraceRecord &r) { add(r.addr, r.kind, r.cls); }
 
     /** Records appended so far. */
-    u64 count() const { return total; }
+    u64 count() const { return total + pending; }
 
     /** The normalized records-per-block capacity in effect. */
     u32 capacity() const { return blockCapacity; }
@@ -194,17 +193,36 @@ class PackedTraceWriter
     u64 bytesWritten() const { return written; }
 
   private:
+    /** One slot of the exact-match index: the last address that
+     *  hashed here and its stamp, the writer-wide sequence number of
+     *  its place in chainAddrs (0: never written). */
+    struct MatchSlot
+    {
+        u32 addr = 0;
+        u64 stamp = 0;
+    };
+
     void flushBlock();
+    std::size_t encodeBlock();
+    u8 *encodeChain(const Addr *addrs, u32 n, u64 stamp0, u8 *out);
     void write(const void *data, std::size_t len);
 
     std::string finalPath;
     std::string tmpPath;
     std::FILE *file = nullptr;
     u32 blockCapacity;
-    std::vector<TraceRecord> pending;
-    std::vector<u8> scratch; ///< per-block encode buffer
+    // The block being filled: blockCapacity slots, pending in use.
+    std::vector<Addr> blockAddrs;
+    std::vector<u8> blockMetas; ///< kind | cls << 2
+    u32 pending = 0;
+    // Encoder buffers, reused across blocks.
+    std::vector<u32> runTokens;        ///< the block's meta tokens
+    std::vector<Addr> chainAddrs;      ///< its addresses by chain
+    std::vector<MatchSlot> matchIndex; ///< address hash -> last seen
+    u64 stampBase = 1;                 ///< stamp of chainAddrs[0]
+    std::vector<u8> scratch;           ///< encoded payload
     std::vector<PackedBlockInfo> index;
-    u64 total = 0;
+    u64 total = 0; ///< records in flushed blocks
     u64 written = 0;
     bool failed = false;
     bool closed = false;

@@ -87,10 +87,12 @@ class Cli : public testing::Test
     }
 
     /** Starts palmtrace with @p args, its output going to files
-     *  named after @p tag. @return its pid. */
+     *  named after @p tag and @p env ("NAME=value" entries) added to
+     *  its environment. @return its pid. */
     pid_t
     spawn(const std::vector<std::string> &args,
-          const std::string &tag = "") const
+          const std::string &tag = "",
+          const std::vector<std::string> &env = {}) const
     {
         const std::vector<std::string> full = expand(args);
         const std::string out = (dir / (tag + "stdout")).string();
@@ -103,6 +105,8 @@ class Cli : public testing::Test
             int e = ::open(err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
             ::dup2(o, 1);
             ::dup2(e, 2);
+            for (const std::string &kv : env)
+                ::putenv(const_cast<char *>(kv.c_str()));
             std::vector<char *> argv = {const_cast<char *>(PT_PALMTRACE)};
             for (const std::string &a : full)
                 argv.push_back(const_cast<char *>(a.c_str()));
@@ -310,6 +314,30 @@ TEST_F(Cli, EverySpellingCiUsesStillRuns)
         EXPECT_EQ(r.out, table.out);
         EXPECT_EQ(slurp((dir / "g-jobs.csv").string()), golden);
     }
+}
+
+TEST_F(Cli, ResumeRefusesAnEndpointForALocalJournal)
+{
+    // A fleet killed after its first item leaves a resumable journal.
+    const Outcome crash =
+        reap(spawn({"fleet", "--out", "@/cf", "--count", "2", "--scale",
+                    "0.1", "--seed", "9", "--journal", "@/cf.ptjl",
+                    "--jobs", "1"},
+                   "", {"PT_CRASH_AFTER_ITEMS=1"}),
+             60);
+    ASSERT_FALSE(crash.timedOut);
+    ASSERT_EQ(crash.code, 137) << crash.err;
+    // The endpoint flags only mean something to a remote-fleet
+    // journal; on a local one they are refused, not ignored.
+    expect({"resume", "@/cf.ptjl", "--socket", "@/none.sock"}, 2,
+           "resume: --socket given, but");
+    expect({"resume", "@/cf.ptjl", "--tcp", "7000"}, 2,
+           "is not a remote-fleet journal");
+    // ... and the refusal ran nothing and left the journal resumable.
+    EXPECT_FALSE(fs::exists(dir / "cf.csv"));
+    expect({"resume", "@/cf.ptjl"}, 0, "", 60);
+    EXPECT_TRUE(fs::exists(dir / "cf-session-0.ptpk"));
+    EXPECT_TRUE(fs::exists(dir / "cf-session-1.ptpk"));
 }
 
 TEST_F(Cli, ServeAndSubmit)

@@ -3,19 +3,24 @@
  * Packed trace (PTPK) tests: round-trips across block shapes and
  * record mixes, corruption/truncation robustness for every frame
  * field (structured LoadErrors, bounded allocation, no crashes),
- * hardened Dinero parsing, and the differential proof that a
+ * hardened Dinero parsing, the differential proof that a
  * packed-fed sweep is bit-identical to the in-memory sweep at jobs
- * in {1, 8}.
+ * in {1, 8}, and the encoder oracle: every block payload the writer
+ * produces equals the one the original per-chain, ring-scanning
+ * encoder produces, on seeded random blocks and on a replayed
+ * session.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
+#include "core/palmsim.h"
 #include "trace/dinero.h"
 #include "trace/memtrace.h"
 #include "trace/packedtrace.h"
@@ -119,6 +124,418 @@ syntheticRecords(u64 refs, u64 seed = 7)
         recs.push_back({a, kind, 0});
     });
     return recs;
+}
+
+// ---------------------------------------------------------------------
+// The reference encoder: the block encoder and the varint writer it
+// used, as they were before the writer's one-pass rewrite, kept
+// verbatim (one pass per chain, a linear scan of the recency ring per
+// item). The writer must produce exactly its bytes.
+
+namespace reference
+{
+
+using trace::zigzagEncode;
+
+/** Appends a LEB128 varint. */
+inline void
+putVarint(std::vector<u8> &out, u64 v)
+{
+    while (v >= 0x80) {
+        out.push_back(static_cast<u8>(v) | 0x80);
+        v >>= 7;
+    }
+    out.push_back(static_cast<u8>(v));
+}
+
+/** kind/class nibble: the chain selector. */
+u8
+metaOf(const TraceRecord &r)
+{
+    return static_cast<u8>((r.kind & 3) | ((r.cls & 1) << 2));
+}
+
+/** Number of per-(kind,class) delta chains (meta values 0..6; 3 and
+ *  7 would need kind == 3 and never occur). */
+constexpr unsigned kChains = 8;
+
+/** Address-space regions for the per-chain last-address table: the
+ *  top nibble of the address. */
+constexpr unsigned kRegions = 16;
+
+/** Ring of recently seen addresses per chain, for exact-match items
+ *  (temporal reuse repeats addresses verbatim). */
+constexpr unsigned kRecent = 64;
+
+/** Encoded size of a varint. */
+std::size_t
+varintLen(u64 v)
+{
+    std::size_t n = 1;
+    while (v >= 0x80) {
+        v >>= 7;
+        ++n;
+    }
+    return n;
+}
+
+/** Encodes one block's payload (meta tokens + chain streams),
+ *  replacing @p scratch. All chain state restarts per block. */
+void
+encodePackedBlockPayload(const TraceRecord *recs, std::size_t n,
+                         std::vector<u8> &scratch)
+{
+    scratch.clear();
+
+    // 1. Meta tokens: varint(runLength << 3 | meta). A single-record
+    // run costs one byte, so interleaved kinds degrade gracefully
+    // while uniform stretches collapse.
+    std::size_t i = 0;
+    while (i < n) {
+        u8 meta = metaOf(recs[i]);
+        std::size_t j = i + 1;
+        while (j < n && metaOf(recs[j]) == meta)
+            ++j;
+        putVarint(scratch,
+                  (static_cast<u64>(j - i) << 3) | meta);
+        i = j;
+    }
+
+    // 2. Per-chain address streams, one chain per meta value. Each
+    // chain deltas against its own history so the interleaved fetch,
+    // stack and heap streams do not thrash one another's locality,
+    // and each chain keeps a last-address-per-region table (top
+    // nibble) so alternation between distant regions costs a 4-bit
+    // region switch instead of a full-width delta. Runs of identical
+    // same-region deltas (sequential fetch, streaming data) collapse
+    // into one item.
+    struct ChainItem
+    {
+        u64 body;
+        bool match;
+    };
+    std::vector<ChainItem> items;
+    for (u8 m = 0; m < kChains; ++m) {
+        items.clear();
+        u32 last[kRegions];
+        for (unsigned r = 0; r < kRegions; ++r)
+            last[r] = static_cast<u32>(r) << 28;
+        u32 recent[kRecent] = {};
+        unsigned ringPos = 0;
+        u32 prevRegion = kRegions; // invalid: first item switches
+        u32 chainPrev = 0;
+        for (std::size_t r = 0; r < n; ++r) {
+            const TraceRecord &rec = recs[r];
+            if (metaOf(rec) != m)
+                continue;
+            u32 reg = rec.addr >> 28;
+            u64 body;
+            if (reg == prevRegion) {
+                body = zigzagEncode(static_cast<s64>(rec.addr) -
+                                    static_cast<s64>(chainPrev))
+                       << 1;
+            } else {
+                body = (zigzagEncode(static_cast<s64>(rec.addr) -
+                                     static_cast<s64>(last[reg]))
+                        << 5) |
+                       (static_cast<u64>(reg) << 1) | 1;
+            }
+            // Exact matches against the recency ring beat wide
+            // deltas (temporal reuse repeats addresses verbatim) —
+            // but never break a delta run in progress.
+            bool useMatch = false;
+            u64 matchIdx = kRecent; // no hit
+            bool continuesRun = !(body & 1) && !items.empty() &&
+                                !items.back().match &&
+                                items.back().body == body;
+            if (!continuesRun) {
+                for (unsigned j = 1; j <= kRecent; ++j) {
+                    if (recent[(ringPos - j) & (kRecent - 1)] ==
+                        rec.addr) {
+                        matchIdx = j - 1;
+                        break;
+                    }
+                }
+                if (matchIdx < kRecent) {
+                    std::size_t matchCost = matchIdx < 32 ? 1 : 2;
+                    useMatch = matchCost < varintLen(body << 1);
+                }
+            }
+            items.push_back(useMatch ? ChainItem{matchIdx, true}
+                                     : ChainItem{body, false});
+            last[reg] = rec.addr;
+            chainPrev = rec.addr;
+            prevRegion = reg;
+            recent[ringPos] = rec.addr;
+            ringPos = (ringPos + 1) & (kRecent - 1);
+        }
+        std::size_t k = 0;
+        while (k < items.size()) {
+            if (items[k].match) {
+                // Wire form (index << 2 | 3): a rep-flagged
+                // switch-type item, a combination the delta encoder
+                // never produces.
+                putVarint(scratch, (items[k].body << 2) | 3);
+                ++k;
+                continue;
+            }
+            u64 body = items[k].body;
+            std::size_t e = k + 1;
+            if (!(body & 1)) { // same-region items may run-collapse
+                while (e < items.size() && !items[e].match &&
+                       items[e].body == body) {
+                    ++e;
+                }
+            }
+            u64 extra = e - k - 1;
+            if (extra) {
+                putVarint(scratch, (body << 1) | 1);
+                putVarint(scratch, extra);
+            } else {
+                putVarint(scratch, body << 1);
+            }
+            k = e;
+        }
+    }
+}
+
+} // namespace reference
+
+/** One block of a packed file: its record count and raw payload. */
+struct RawBlock
+{
+    u32 count = 0;
+    std::vector<u8> payload;
+};
+
+/** The payload bytes of every block of the PTPK file at @p path, as
+ *  written, located through the verified footer index. */
+std::vector<RawBlock>
+rawBlocks(const std::string &path)
+{
+    PackedTraceReader r;
+    LoadResult res = r.open(path);
+    EXPECT_TRUE(res.ok()) << res.message();
+    const std::vector<u8> file = readFileBytes(path);
+    std::vector<RawBlock> out;
+    for (const trace::PackedBlockInfo &b : r.blockIndex()) {
+        const u8 *hdr = file.data() + b.fileOffset;
+        u64 len = 0;
+        for (int i = 7; i >= 0; --i)
+            len = (len << 8) | hdr[8 + i];
+        const u64 at = b.fileOffset + trace::kPackedBlockHeaderBytes;
+        if (len > file.size() - at) {
+            ADD_FAILURE() << "block at " << b.fileOffset
+                          << " overruns the file";
+            break;
+        }
+        out.push_back({b.count, std::vector<u8>(file.data() + at,
+                                                file.data() + at + len)});
+    }
+    return out;
+}
+
+/** Checks every block payload of the PTPK file at @p path against
+ *  the reference encoder's payload for the same slice of @p recs. */
+void
+expectReferencePayloads(const std::string &path,
+                        const std::vector<TraceRecord> &recs)
+{
+    const std::vector<RawBlock> blocks = rawBlocks(path);
+    std::vector<u8> want;
+    std::size_t at = 0;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        ASSERT_LE(blocks[b].count, recs.size() - at);
+        reference::encodePackedBlockPayload(recs.data() + at,
+                                            blocks[b].count, want);
+        ASSERT_EQ(blocks[b].payload, want)
+            << "block " << b << " of " << blocks.size();
+        at += blocks[b].count;
+    }
+    EXPECT_EQ(at, recs.size());
+}
+
+/** Writes @p recs at @p capacity and checks every block payload
+ *  against the reference encoder's. */
+void
+expectReferenceBytes(const std::vector<TraceRecord> &recs, u32 capacity,
+                     const std::string &name)
+{
+    const std::string path = tmpPath(name);
+    writePacked(path, recs, capacity);
+    expectReferencePayloads(path, recs);
+    std::remove(path.c_str());
+}
+
+/**
+ * Seeded random records built to stress the encoder's corners: a
+ * small address alphabet (heavy reuse, index-slot collisions, reuse
+ * distances either side of the 64-entry ring), addresses in every
+ * region, address 0, delta runs of every stride, and all kind/class
+ * values, each meta drawn with its own weight.
+ */
+std::vector<TraceRecord>
+randomRecords(std::size_t n, u64 seed)
+{
+    std::mt19937_64 rng(seed);
+    auto below = [&](u64 k) { return rng() % k; };
+    // One alphabet per block; sizes from 1 (every record a repeat)
+    // to 600 (most reuse beyond the ring).
+    static constexpr std::size_t kAlphabets[] = {1, 2, 3, 7, 31, 63,
+                                                 64, 65, 97, 200, 600};
+    std::vector<Addr> alphabet(
+        kAlphabets[below(std::size(kAlphabets))]);
+    const u64 regions = 1 + below(16);
+    for (Addr &a : alphabet) {
+        const u64 r = below(4) ? below(regions) : below(16);
+        a = static_cast<Addr>((r << 28) | (below(4) ? below(4096) * 2
+                                                    : below(1u << 28)));
+    }
+    if (below(2))
+        alphabet[below(alphabet.size())] = 0;
+    u64 metaWeight[8];
+    for (u64 &w : metaWeight)
+        w = below(3) ? below(8) : 0;
+    metaWeight[below(8)] += 1; // at least one meta drawn
+    u64 metaTotal = 0;
+    for (u64 w : metaWeight)
+        metaTotal += w;
+    const u64 stickiness = below(16); // meta repeats: 0 .. 15 in 16
+    const u64 reusePct = below(101);
+
+    std::vector<TraceRecord> recs;
+    recs.reserve(n);
+    Addr chainLast[8] = {};
+    u8 meta = 0;
+    s64 stride = 2;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i == 0 || below(16) >= stickiness) {
+            u64 pick = below(metaTotal);
+            meta = 0;
+            while (pick >= metaWeight[meta])
+                pick -= metaWeight[meta++];
+        }
+        Addr a;
+        const u64 mode = below(100);
+        if (i < 70 && below(8) == 0) {
+            a = 0; // address 0 near the chain starts
+        } else if (mode < reusePct) {
+            a = alphabet[below(alphabet.size())];
+        } else if (mode % 3 == 0) {
+            if (below(8) == 0)
+                stride = static_cast<s64>(below(64)) - 32;
+            a = static_cast<Addr>(chainLast[meta] + stride);
+        } else if (mode % 3 == 1) {
+            a = static_cast<Addr>((below(16) << 28) | below(1u << 28));
+        } else {
+            a = static_cast<Addr>(chainLast[meta] + below(1u << 16) -
+                                  (1u << 15));
+        }
+        chainLast[meta] = a;
+        // Kind 3 (meta 3 and 7) reaches the writer, which clamps it
+        // to a write; the reference sees the clamped record.
+        const u8 kind = (meta & 3) == 3 ? 2 : meta & 3;
+        recs.push_back({a, kind, static_cast<u8>(meta >> 2)});
+    }
+    return recs;
+}
+
+TEST(PackedTraceEncoder, MatchesReferenceOnRandomBlocks)
+{
+    // 2400 blocks at the small edges of the ring and the default
+    // capacity, each file of several blocks so chain state must
+    // restart per block.
+    static constexpr u32 kCapacities[] = {1, 63, 64, 65, 4096};
+    u64 blocks = 0;
+    for (u64 seed = 1; blocks < 2400; ++seed) {
+        const u32 capacity = kCapacities[seed % std::size(kCapacities)];
+        const std::size_t n =
+            capacity == 4096 ? 3 * capacity + seed % 777 : 60 * capacity;
+        const std::vector<TraceRecord> recs = randomRecords(n, seed);
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", capacity " +
+                     std::to_string(capacity));
+        expectReferenceBytes(recs, capacity, "enc_random.ptpk");
+        if (HasFatalFailure())
+            return;
+        blocks += (n + capacity - 1) / capacity;
+    }
+}
+
+TEST(PackedTraceEncoder, MatchesReferenceOnOneMaximalBlock)
+{
+    std::vector<TraceRecord> recs;
+    for (u64 seed = 100; recs.size() < trace::kPackedMaxBlockCapacity;
+         ++seed) {
+        std::vector<TraceRecord> part = randomRecords(4096, seed);
+        recs.insert(recs.end(), part.begin(), part.end());
+    }
+    recs.resize(trace::kPackedMaxBlockCapacity);
+    expectReferenceBytes(recs, trace::kPackedMaxBlockCapacity,
+                         "enc_max.ptpk");
+}
+
+TEST(PackedTraceEncoder, AddressZeroMatchesTheZeroFilledRing)
+{
+    // With no real copy of 0 in the ring, the zero fill matches at
+    // index s (the chain's length so far); a real copy wins.
+    std::vector<TraceRecord> recs;
+    for (u32 s = 0; s < 70; ++s) {
+        recs.clear();
+        for (u32 i = 0; i < s; ++i)
+            recs.push_back({0x10000000u + i * 0x01000000u, 1, 0});
+        recs.push_back({0, 1, 0});
+        recs.push_back({0x2000, 0, 1}); // another chain in between
+        recs.push_back({0, 1, 0});
+        expectReferenceBytes(recs, 4096, "enc_zero.ptpk");
+    }
+}
+
+/** Records what a PackedWriterSink would write while passing every
+ *  reference on to it. */
+class TeeSink : public device::MemRefSink
+{
+  public:
+    explicit TeeSink(trace::PackedWriterSink &next)
+        : next(next)
+    {}
+
+    void
+    onRef(Addr addr, m68k::AccessKind kind,
+          device::RefClass cls) override
+    {
+        if (cls == device::RefClass::Ram ||
+            cls == device::RefClass::Flash) {
+            recs.push_back({addr, static_cast<u8>(kind),
+                            cls == device::RefClass::Flash ? u8{1}
+                                                           : u8{0}});
+        }
+        next.onRef(addr, kind, cls);
+    }
+
+    std::vector<TraceRecord> recs;
+
+  private:
+    trace::PackedWriterSink &next;
+};
+
+TEST(PackedTraceEncoder, MatchesReferenceOnSessionTrace)
+{
+    workload::UserModelConfig uc;
+    uc.seed = 5;
+    uc.interactions = 2;
+    const core::Session sess = core::PalmSimulator::collect(uc);
+    const std::string path = tmpPath("enc_session.ptpk");
+    PackedTraceWriter writer(path);
+    ASSERT_TRUE(writer.ok());
+    trace::PackedWriterSink sink(writer);
+    TeeSink tee(sink);
+    core::ReplayConfig cfg;
+    cfg.extraRefSink = &tee;
+    core::PalmSimulator::replaySession(sess, cfg);
+    ASSERT_TRUE(writer.close());
+    ASSERT_GT(tee.recs.size(), 100000u);
+    expectReferencePayloads(path, tee.recs);
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -1916,6 +1916,17 @@ cmdResume(const Args &a)
                          serve::resumeRemoteFleetJob(
                              journal, endpointFrom(a), jo));
     }
+    // Any other journal resumes locally, so an endpoint would be
+    // ignored; refuse it before the journal is touched.
+    for (const char *flag : {"--socket", "--tcp"}) {
+        if (a.has(flag)) {
+            std::fprintf(stderr,
+                         "resume: %s given, but %s is not a "
+                         "remote-fleet journal\n",
+                         flag, journal);
+            return 2;
+        }
+    }
     return reportJob("resume", super::resumeJob(journal, jo));
 }
 
